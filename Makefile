@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check build test lint race race-all vet bench bench-smoke bench-simcore cover fuzz-smoke poolcheck chaos report examples serve-e2e serve-bench fleet-e2e fleet-bench mgmt-e2e clean
+.PHONY: all check build test lint race race-all vet bench bench-smoke cover fuzz-smoke poolcheck chaos report examples serve-e2e fleet-e2e fleet-bench mgmt-e2e clean
 
 all: build test
 
@@ -18,8 +18,10 @@ build:
 test:
 	$(GO) test ./...
 
+# vet, plus gofmt: any file gofmt would rewrite fails the lint.
 lint:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Race-detect the packages that share state across goroutines: the
 # metrics registry (hammered by concurrent Monte-Carlo workers), the
@@ -70,8 +72,8 @@ bench-smoke:
 	$(GO) test -short -run xxx -bench BenchmarkSolverComparison -benchtime 1x .
 
 # Bounded fuzzing of the wire-format decoders, the three-tier control
-# protocol, the scheduler implementations (calendar/hybrid vs heap
-# oracle), and the topology graph generators + spare-policy application:
+# protocol, the kernel's event heap (vs a linear-scan oracle), and the
+# topology graph generators + spare-policy application:
 # enough to catch decode panics, encoder/decoder asymmetries,
 # LP-bookkeeping drift, event-ordering divergence, and reachability
 # order-dependence in CI without open-ended runs.
@@ -82,12 +84,6 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzUnmarshalCell -fuzztime $(FUZZTIME) ./internal/packet/
 	$(GO) test -fuzz=FuzzScheduler -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -fuzz=FuzzTopology -fuzztime $(FUZZTIME) ./internal/topology/
-
-# Regenerate BENCH_simcore.json: DES-core hot-path timings (rare-event
-# Monte Carlo loop, fault-free deliver path, scheduler push/pop) against
-# the pre-rewrite seed baseline. Local, no server.
-bench-simcore:
-	$(GO) run ./cmd/dractl bench -mode simcore -out BENCH_simcore.json
 
 # Run every example chaos campaign through drasim with the invariant
 # wall armed; any assertion failure or invariant violation is fatal.
@@ -107,8 +103,9 @@ report:
 # The observatory soak does the same for the telemetry pipeline:
 # submit, tail, query while running, drain, resume, re-query, and
 # byte-compare the merged series against an uninterrupted control.
+# drad's performance is measured by bench/ (see bench/README.md).
 serve-e2e:
-	$(GO) test -v -run 'TestServeE2E|TestBenchSmoke|TestObservatoryE2E|TestObservatoryBenchSmoke' ./cmd/drad
+	$(GO) test -v -run 'TestServeE2E|TestObservatoryE2E' ./cmd/drad
 
 # The kill-a-worker soak, under the race detector: boots a real
 # coordinator and two real workers, SIGKILLs one mid-rare-event-job,
@@ -136,25 +133,7 @@ FLEET_BENCH_REPS ?= 3072
 fleet-bench:
 	@tmp=$$(mktemp -d); \
 	$(GO) build -o $$tmp/drad ./cmd/drad && $(GO) build -o $$tmp/dractl ./cmd/dractl || exit 1; \
-	$$tmp/dractl bench -mode fleet -drad $$tmp/drad -jobs $(FLEET_BENCH_JOBS) -reps $(FLEET_BENCH_REPS) -out BENCH_fleet.json; rc=$$?; \
-	rm -rf $$tmp; exit $$rc
-
-# Regenerate BENCH_serve.json: cold-vs-cache-hit throughput and latency
-# percentiles against a freshly booted drad.
-SERVE_BENCH_JOBS ?= 32
-SERVE_BENCH_REPS ?= 200
-serve-bench:
-	@tmp=$$(mktemp -d); \
-	$(GO) build -o $$tmp/drad ./cmd/drad && $(GO) build -o $$tmp/dractl ./cmd/dractl || exit 1; \
-	$$tmp/drad -addr 127.0.0.1:0 -state-dir $$tmp/state > $$tmp/drad.log 2>&1 & pid=$$!; \
-	for i in 1 2 3 4 5 6 7 8 9 10; do grep -q http $$tmp/drad.log 2>/dev/null && break; sleep 0.3; done; \
-	addr=$$(sed -n 's|.*\(http://[0-9.:]*\).*|\1|p' $$tmp/drad.log | head -1); \
-	if [ -z "$$addr" ]; then echo "serve-bench: drad did not start"; cat $$tmp/drad.log; kill $$pid 2>/dev/null; exit 1; fi; \
-	$$tmp/dractl -addr $$addr bench -jobs $(SERVE_BENCH_JOBS) -reps $(SERVE_BENCH_REPS) -out BENCH_serve.json; rc=$$?; \
-	if [ $$rc -eq 0 ]; then \
-		$$tmp/dractl -addr $$addr bench -mode observatory -out BENCH_observatory.json; rc=$$?; \
-	fi; \
-	kill -TERM $$pid 2>/dev/null; wait $$pid 2>/dev/null; \
+	$$tmp/dractl bench -drad $$tmp/drad -jobs $(FLEET_BENCH_JOBS) -reps $(FLEET_BENCH_REPS) -out BENCH_fleet.json; rc=$$?; \
 	rm -rf $$tmp; exit $$rc
 
 examples:

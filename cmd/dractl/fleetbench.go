@@ -1,7 +1,7 @@
 package main
 
-// bench -mode fleet: the worker-scaling benchmark. For each point it
-// boots a private fleet — one drad coordinator plus K drad workers, all
+// bench: the worker-scaling benchmark. For each point it boots a
+// private fleet — one drad coordinator plus K drad workers, all
 // child processes of this CLI — submits a batch of shardable
 // fixed-count Monte-Carlo jobs (MC workers pinned to 1 so parallelism
 // comes from the fleet, per-point seeds so the content-addressed cache
@@ -38,8 +38,8 @@ type fleetPoint struct {
 
 // fleetBenchDoc is the BENCH_fleet.json schema.
 type fleetBenchDoc struct {
-	Jobs       int          `json:"jobs"`
-	RepsPerJob int          `json:"reps_per_job"`
+	Jobs       int `json:"jobs"`
+	RepsPerJob int `json:"reps_per_job"`
 	// CPUs is the host's logical CPU count. The workload is CPU-bound,
 	// so speedup is clamped at min(workers, cpus): a fleet point with
 	// more workers than cores measures dispatch overhead, not scaling.
@@ -53,7 +53,8 @@ type fleetBenchDoc struct {
 	Note string `json:"note,omitempty"`
 }
 
-func benchFleet(fs *flag.FlagSet, args []string) int {
+func cmdBench(args []string) int {
+	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	var (
 		dradBin = fs.String("drad", "", "path to the drad binary to boot (required)")
 		counts  = fs.String("workers", "1,2,4", "comma-separated worker counts; one bench point each")
@@ -64,16 +65,16 @@ func benchFleet(fs *flag.FlagSet, args []string) int {
 	)
 	fs.Parse(args)
 	if *dradBin == "" {
-		usageError(fmt.Errorf("bench -mode fleet requires -drad <path to drad binary>"))
+		usageError(fmt.Errorf("bench requires -drad <path to drad binary>"))
 	}
 	if *jobsN < 1 || *reps < 1 {
-		usageError(fmt.Errorf("bench -mode fleet: -jobs and -reps must be positive"))
+		usageError(fmt.Errorf("bench: -jobs and -reps must be positive"))
 	}
 	var ks []int
 	for _, s := range strings.Split(*counts, ",") {
 		k, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil || k < 1 {
-			usageError(fmt.Errorf("bench -mode fleet: bad -workers entry %q", s))
+			usageError(fmt.Errorf("bench: bad -workers entry %q", s))
 		}
 		ks = append(ks, k)
 	}

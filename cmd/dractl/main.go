@@ -23,10 +23,10 @@
 // attaches the API key to every request; omit both against a server
 // that allows anonymous access.
 //
-//	dractl bench                   cold-vs-cache-hit load test → BENCH_serve.json
-//	dractl bench -mode observatory telemetry ingest/query bench → BENCH_observatory.json
-//	dractl bench -mode simcore     DES-core hot-path bench (local, no server) → BENCH_simcore.json
-//	dractl bench -mode fleet       worker-scaling bench (boots its own fleet) → BENCH_fleet.json
+//	dractl bench -drad <path>      worker-scaling bench (boots its own fleet) → BENCH_fleet.json
+//
+// The drad benchmark itself (cache hits, cold jobs, rare-event jobs,
+// end to end and per layer) lives in bench/; see bench/README.md.
 package main
 
 import (
@@ -39,14 +39,10 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"sort"
 	"strconv"
-	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/config"
 	"repro/internal/httpretry"
 	"repro/internal/jobs"
 )
@@ -97,7 +93,7 @@ func run() int {
 	case "query":
 		return cmdQuery(c, args[1:])
 	case "bench":
-		return cmdBench(c, args[1:])
+		return cmdBench(args[1:])
 	default:
 		usageError(fmt.Errorf("unknown command %q", args[0]))
 	}
@@ -421,199 +417,6 @@ func oneID(cmd string, args []string) string {
 		usageError(fmt.Errorf("%s wants exactly one job ID", cmd))
 	}
 	return args[0]
-}
-
-// --- bench ---
-
-// phaseStats summarizes one bench phase.
-type phaseStats struct {
-	JobsPerSec float64 `json:"jobs_per_sec"`
-	P50Ms      float64 `json:"p50_ms"`
-	P90Ms      float64 `json:"p90_ms"`
-	P99Ms      float64 `json:"p99_ms"`
-}
-
-// benchDoc is the BENCH_serve.json schema.
-type benchDoc struct {
-	Jobs       int        `json:"jobs"`
-	RepsPerJob int        `json:"reps_per_job"`
-	Cold       phaseStats `json:"cold"`
-	CacheHit   phaseStats `json:"cache_hit"`
-	// SpeedupP50 is cold p50 latency over cache-hit p50 latency: how
-	// much the content-addressed store buys on a repeated request.
-	SpeedupP50 float64 `json:"speedup_p50"`
-}
-
-// cmdBench drives the serve benchmark: a cold phase submitting distinct
-// Monte-Carlo reliability jobs concurrently and waiting each to
-// completion, then a cache-hit phase resubmitting the identical specs.
-// Identical specs content-address to the same job IDs, so the second
-// phase never touches a solver — the latency gap is the cache win.
-func cmdBench(c *client, args []string) int {
-	// The -mode selector routes to an independently-flagged benchmark,
-	// so strip it before the mode's own FlagSet parses the rest.
-	mode, rest := "serve", make([]string, 0, len(args))
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		switch {
-		case a == "-mode" || a == "--mode":
-			if i+1 >= len(args) {
-				usageError(fmt.Errorf("bench -mode wants a value: serve, observatory, or simcore"))
-			}
-			i++
-			mode = args[i]
-		case strings.HasPrefix(a, "-mode="):
-			mode = strings.TrimPrefix(a, "-mode=")
-		case strings.HasPrefix(a, "--mode="):
-			mode = strings.TrimPrefix(a, "--mode=")
-		default:
-			rest = append(rest, a)
-		}
-	}
-	switch mode {
-	case "serve":
-		args = rest
-	case "observatory":
-		return benchObservatory(c, flag.NewFlagSet("bench-observatory", flag.ExitOnError), rest)
-	case "simcore":
-		return benchSimcore(flag.NewFlagSet("bench-simcore", flag.ExitOnError), rest)
-	case "fleet":
-		return benchFleet(flag.NewFlagSet("bench-fleet", flag.ExitOnError), rest)
-	default:
-		usageError(fmt.Errorf("bench -mode %q: want serve, observatory, simcore, or fleet", mode))
-	}
-
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	var (
-		n     = fs.Int("jobs", 32, "distinct jobs per phase")
-		reps  = fs.Int("reps", 200, "Monte-Carlo replications per job (job cost knob)")
-		seed0 = fs.Uint64("seed-base", 1000, "seed of the first job; job i uses seed-base+i")
-		out   = fs.String("out", "BENCH_serve.json", "benchmark artifact path")
-	)
-	fs.Parse(args)
-	if *n < 1 {
-		usageError(fmt.Errorf("bench -jobs must be positive, got %d", *n))
-	}
-	if *reps < 1 {
-		usageError(fmt.Errorf("bench -reps must be positive, got %d", *reps))
-	}
-
-	specs := make([][]byte, *n)
-	for i := range specs {
-		spec := config.Spec{
-			Kind:   config.KindReliability,
-			Router: &config.RouterSpec{N: 4, M: 2},
-			MC:     &config.MCSpec{Horizon: 1000, Reps: *reps, Seed: *seed0 + uint64(i)},
-		}
-		b, err := json.Marshal(spec)
-		if err != nil {
-			fatal(err)
-		}
-		specs[i] = b
-	}
-
-	fmt.Fprintf(os.Stderr, "dractl: bench cold phase: %d jobs × %d reps\n", *n, *reps)
-	cold, ids := runPhase(c, specs, false)
-	fmt.Fprintf(os.Stderr, "dractl: bench cache-hit phase: resubmitting %d identical specs\n", *n)
-	hit, hitIDs := runPhase(c, specs, true)
-	for i := range ids {
-		if ids[i] != hitIDs[i] {
-			fatal(fmt.Errorf("job %d changed ID between phases: %s vs %s (content addressing broken)", i, ids[i], hitIDs[i]))
-		}
-	}
-
-	doc := benchDoc{Jobs: *n, RepsPerJob: *reps, Cold: cold, CacheHit: hit}
-	if hit.P50Ms > 0 {
-		doc.SpeedupP50 = cold.P50Ms / hit.P50Ms
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("serve bench: %d jobs\n", *n)
-	fmt.Printf("  cold:      %8.1f jobs/s   p50 %8.2fms  p90 %8.2fms  p99 %8.2fms\n",
-		cold.JobsPerSec, cold.P50Ms, cold.P90Ms, cold.P99Ms)
-	fmt.Printf("  cache hit: %8.1f jobs/s   p50 %8.2fms  p90 %8.2fms  p99 %8.2fms\n",
-		hit.JobsPerSec, hit.P50Ms, hit.P90Ms, hit.P99Ms)
-	fmt.Printf("  p50 speedup from cache: %.1fx\n", doc.SpeedupP50)
-	fmt.Printf("wrote %s\n", *out)
-	return lc.Exit(cli.ExitOK)
-}
-
-// runPhase submits every spec concurrently. Cold jobs are timed
-// submit→terminal (computation latency); cache hits are timed as the
-// request round-trip, and the phase fails if the server reports it
-// actually scheduled work (expectCached guards the acceptance criterion
-// that a repeated spec skips recomputation).
-func runPhase(c *client, specs [][]byte, expectCached bool) (phaseStats, []string) {
-	n := len(specs)
-	lat := make([]time.Duration, n)
-	ids := make([]string, n)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	start := time.Now()
-	for i := range specs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			t0 := time.Now()
-			snap, code := c.submit(specs[i])
-			ids[i] = snap.ID
-			if expectCached {
-				if code != http.StatusOK || !snap.Cached {
-					fail(fmt.Errorf("job %s: expected a cache hit, got HTTP %d cached=%v", snap.ID, code, snap.Cached))
-				}
-				lat[i] = time.Since(t0)
-				return
-			}
-			final := c.poll(snap.ID)
-			if final.State != jobs.StateDone {
-				fail(fmt.Errorf("job %s ended %s: %s", final.ID, final.State, final.Error))
-			}
-			lat[i] = time.Since(t0)
-		}(i)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	if firstErr != nil {
-		fatal(firstErr)
-	}
-	return summarize(lat, wall), ids
-}
-
-// summarize reduces per-job latencies to the phase stats.
-func summarize(lat []time.Duration, wall time.Duration) phaseStats {
-	sorted := append([]time.Duration(nil), lat...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	pct := func(p float64) float64 {
-		if len(sorted) == 0 {
-			return 0
-		}
-		idx := int(p*float64(len(sorted))+0.5) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		return float64(sorted[idx]) / float64(time.Millisecond)
-	}
-	s := phaseStats{P50Ms: pct(0.50), P90Ms: pct(0.90), P99Ms: pct(0.99)}
-	if wall > 0 {
-		s.JobsPerSec = float64(len(lat)) / wall.Seconds()
-	}
-	return s
 }
 
 // usageError and fatal delegate to the shared lifecycle conventions

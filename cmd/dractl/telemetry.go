@@ -1,8 +1,7 @@
 package main
 
 // The telemetry-plane subcommands: top (fleet summary), tail (live
-// NDJSON feed), query (one job's retained series), and the observatory
-// bench mode measuring the pipeline's ingest rate and query latency.
+// NDJSON feed) and query (one job's retained series).
 
 import (
 	"encoding/json"
@@ -168,117 +167,5 @@ func cmdQuery(c *client, args []string) int {
 		fatal(apiErr(data, code))
 	}
 	printJSON(data)
-	return lc.Exit(cli.ExitOK)
-}
-
-// --- observatory bench ---
-
-// observatoryBenchDoc is the BENCH_observatory.json schema.
-type observatoryBenchDoc struct {
-	Series        int        `json:"series"`
-	Samples       int        `json:"samples"`
-	SamplesPerSec float64    `json:"samples_per_sec"`
-	Query         phaseStats `json:"query"` // per-query latency; JobsPerSec = queries/s
-	Queries       int        `json:"queries"`
-}
-
-// benchObservatory measures the telemetry pipeline itself: ingest
-// throughput by POSTing synthetic windowed samples across several
-// series, then query latency by reading the retained series back.
-func benchObservatory(c *client, fs *flag.FlagSet, args []string) int {
-	var (
-		series  = fs.Int("series", 8, "distinct synthetic telemetry series")
-		samples = fs.Int("samples", 4000, "total samples ingested across all series")
-		queries = fs.Int("queries", 200, "range queries timed after ingest")
-		chunk   = fs.Int("chunk", 100, "samples per ingest POST")
-		out     = fs.String("out", "BENCH_observatory.json", "benchmark artifact path")
-	)
-	fs.Parse(args)
-	if *series < 1 || *samples < *series || *queries < 1 || *chunk < 1 {
-		usageError(fmt.Errorf("bench observatory: want series ≥ 1, samples ≥ series, queries ≥ 1, chunk ≥ 1"))
-	}
-
-	// Ingest phase: windows advance per series so nothing is stale.
-	fmt.Fprintf(os.Stderr, "dractl: bench observatory ingest: %d samples over %d series\n", *samples, *series)
-	window := make([]uint64, *series)
-	batch := make([]telemetry.Sample, 0, *chunk)
-	sent := 0
-	t0 := time.Now()
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		body, err := json.Marshal(batch)
-		if err != nil {
-			fatal(err)
-		}
-		data, code := c.do(http.MethodPost, "/v1/telemetry", body)
-		if code != http.StatusOK {
-			fatal(apiErr(data, code))
-		}
-		var ack struct{ Ingested, Rejected int }
-		if err := json.Unmarshal(data, &ack); err != nil {
-			fatal(err)
-		}
-		if ack.Rejected != 0 {
-			fatal(fmt.Errorf("ingest rejected %d of %d samples", ack.Rejected, len(batch)))
-		}
-		sent += ack.Ingested
-		batch = batch[:0]
-	}
-	for i := 0; i < *samples; i++ {
-		s := i % *series
-		window[s]++
-		batch = append(batch, telemetry.Sample{
-			Job:          fmt.Sprintf("bench-observatory-%03d", s),
-			Kind:         "observatory",
-			Window:       window[s],
-			Estimate:     1.0 / float64(window[s]+1),
-			Availability: 1 - 1.0/float64(window[s]+1),
-			Trials:       window[s] * 100,
-		})
-		if len(batch) >= *chunk {
-			flush()
-		}
-	}
-	flush()
-	ingestWall := time.Since(t0)
-
-	// Query phase: full range reads round-robined over the series.
-	fmt.Fprintf(os.Stderr, "dractl: bench observatory query: %d reads\n", *queries)
-	lat := make([]time.Duration, *queries)
-	q0 := time.Now()
-	for i := 0; i < *queries; i++ {
-		job := fmt.Sprintf("bench-observatory-%03d", i%*series)
-		t := time.Now()
-		data, code := c.do(http.MethodGet, "/v1/telemetry/"+job, nil)
-		if code != http.StatusOK {
-			fatal(apiErr(data, code))
-		}
-		lat[i] = time.Since(t)
-	}
-	queryWall := time.Since(q0)
-
-	doc := observatoryBenchDoc{
-		Series:  *series,
-		Samples: sent,
-		Queries: *queries,
-		Query:   summarize(lat, queryWall),
-	}
-	if ingestWall > 0 {
-		doc.SamplesPerSec = float64(sent) / ingestWall.Seconds()
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("observatory bench: %d samples over %d series\n", sent, *series)
-	fmt.Printf("  ingest: %10.0f samples/s\n", doc.SamplesPerSec)
-	fmt.Printf("  query:  %10.1f queries/s  p50 %8.2fms  p90 %8.2fms  p99 %8.2fms\n",
-		doc.Query.JobsPerSec, doc.Query.P50Ms, doc.Query.P90Ms, doc.Query.P99Ms)
-	fmt.Printf("wrote %s\n", *out)
 	return lc.Exit(cli.ExitOK)
 }

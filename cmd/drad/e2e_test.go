@@ -234,46 +234,3 @@ func normalizeJSON(t *testing.T, data []byte) []byte {
 	}
 	return out
 }
-
-// TestBenchSmoke exercises dractl bench against a live instance with a
-// tiny workload and checks the artifact schema.
-func TestBenchSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and boots real binaries")
-	}
-	dradBin, dractlBin := buildBinaries(t)
-	srv := startDrad(t, dradBin, filepath.Join(t.TempDir(), "state"))
-	defer func() {
-		srv.cmd.Process.Signal(syscall.SIGTERM)
-		srv.cmd.Wait()
-	}()
-
-	out := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	srv.run(t, dractlBin, "bench", "-jobs", "4", "-reps", "50", "-out", out)
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Jobs int `json:"jobs"`
-		Cold struct {
-			JobsPerSec float64 `json:"jobs_per_sec"`
-			P50Ms      float64 `json:"p50_ms"`
-		} `json:"cold"`
-		CacheHit struct {
-			JobsPerSec float64 `json:"jobs_per_sec"`
-			P50Ms      float64 `json:"p50_ms"`
-		} `json:"cache_hit"`
-		SpeedupP50 float64 `json:"speedup_p50"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("bench artifact: %v\n%s", err, data)
-	}
-	if doc.Jobs != 4 || doc.Cold.JobsPerSec <= 0 || doc.CacheHit.JobsPerSec <= 0 {
-		t.Fatalf("bench artifact has empty phases: %s", data)
-	}
-	if doc.CacheHit.P50Ms >= doc.Cold.P50Ms {
-		t.Fatalf("cache-hit p50 (%.2fms) not faster than cold p50 (%.2fms): %s",
-			doc.CacheHit.P50Ms, doc.Cold.P50Ms, data)
-	}
-}

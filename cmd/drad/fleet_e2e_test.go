@@ -196,10 +196,10 @@ func TestFleetBenchSmoke(t *testing.T) {
 	}
 	dradBin, dractlBin := buildBinaries(t)
 	out := filepath.Join(t.TempDir(), "BENCH_fleet.json")
-	cmd := exec.Command(dractlBin, "bench", "-mode", "fleet",
+	cmd := exec.Command(dractlBin, "bench",
 		"-drad", dradBin, "-workers", "1,2", "-jobs", "2", "-reps", "128", "-out", out)
 	if b, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("bench -mode fleet: %v\n%s", err, b)
+		t.Fatalf("bench: %v\n%s", err, b)
 	}
 	data, err := os.ReadFile(out)
 	if err != nil {

@@ -207,42 +207,3 @@ func TestObservatoryE2E(t *testing.T) {
 		t.Fatalf("resumed result differs from control:\nresumed: %s\ncontrol: %s", resumedDoc, controlDoc)
 	}
 }
-
-// TestObservatoryBenchSmoke exercises the telemetry ingest/query bench
-// and checks the BENCH_observatory.json schema.
-func TestObservatoryBenchSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and boots real binaries")
-	}
-	dradBin, dractlBin := buildBinaries(t)
-	srv := startDrad(t, dradBin, filepath.Join(t.TempDir(), "state"))
-	defer func() {
-		srv.cmd.Process.Signal(syscall.SIGTERM)
-		srv.cmd.Wait()
-	}()
-
-	out := filepath.Join(t.TempDir(), "BENCH_observatory.json")
-	srv.run(t, dractlBin, "bench", "-mode", "observatory",
-		"-series", "4", "-samples", "400", "-queries", "40", "-out", out)
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Series        int     `json:"series"`
-		Samples       int     `json:"samples"`
-		SamplesPerSec float64 `json:"samples_per_sec"`
-		Queries       int     `json:"queries"`
-		Query         struct {
-			JobsPerSec float64 `json:"jobs_per_sec"`
-			P50Ms      float64 `json:"p50_ms"`
-			P99Ms      float64 `json:"p99_ms"`
-		} `json:"query"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("bench artifact: %v\n%s", err, data)
-	}
-	if doc.Samples != 400 || doc.SamplesPerSec <= 0 || doc.Query.JobsPerSec <= 0 || doc.Query.P99Ms <= 0 {
-		t.Fatalf("bench artifact has empty phases: %s", data)
-	}
-}

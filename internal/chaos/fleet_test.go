@@ -127,10 +127,10 @@ func TestFleetEventsRequireDriver(t *testing.T) {
 // TestFleetEventValidation covers the new kinds' spec errors.
 func TestFleetEventValidation(t *testing.T) {
 	bad := []Event{
-		{At: 1, Kind: "kill-worker"},                            // no worker name
-		{At: 1, Kind: "restart-worker"},                         // no worker name
-		{At: 1, Kind: "expect-workers"},                         // no count
-		{At: 1, Kind: "expect-workers", Workers: workers(-1)},   // negative
+		{At: 1, Kind: "kill-worker"},                                                    // no worker name
+		{At: 1, Kind: "restart-worker"},                                                 // no worker name
+		{At: 1, Kind: "expect-workers"},                                                 // no count
+		{At: 1, Kind: "expect-workers", Workers: workers(-1)},                           // negative
 		{At: 1, Kind: "common-mode", Sub: []Event{{Kind: "kill-worker", Worker: "w0"}}}, // no nesting
 	}
 	for i, e := range bad {

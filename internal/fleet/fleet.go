@@ -669,8 +669,8 @@ func (c *Coordinator) sampleLocked() {
 	c.lastSampled = cur
 	c.tick++
 	c.opt.Telemetry.Ingest(telemetry.Sample{
-		Job:  "fleet",
-		Kind: "fleet",
+		Job:    "fleet",
+		Kind:   "fleet",
 		Window: c.tick,
 		Gauges: map[string]float64{
 			"fleet_workers_live":  float64(cur[0]),

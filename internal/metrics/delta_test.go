@@ -72,11 +72,11 @@ func TestLintNames(t *testing.T) {
 	}
 
 	bad := NewRegistry()
-	bad.Counter("widgets", "")          // counter without _total
-	bad.Gauge("depth_total", "")        // gauge with _total
-	bad.Counter("ops_total_bytes", "")  // _total not final
-	bad.Gauge("Bad-Name", "")           // charset
-	bad.Gauge("latency_sum", "")        // reserved suffix
+	bad.Counter("widgets", "")         // counter without _total
+	bad.Gauge("depth_total", "")       // gauge with _total
+	bad.Counter("ops_total_bytes", "") // _total not final
+	bad.Gauge("Bad-Name", "")          // charset
+	bad.Gauge("latency_sum", "")       // reserved suffix
 	p := bad.LintNames()
 	if len(p) < 5 {
 		t.Fatalf("lint missed defects: %v", p)

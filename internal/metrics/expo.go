@@ -140,7 +140,50 @@ func (r *Registry) Snapshot() []FamilySnapshot {
 	return out
 }
 
-// SnapshotJSON renders the snapshot as indented JSON.
+// jsonFloat encodes like a float64, except that the non-finite values
+// encoding/json rejects become the strings "+Inf", "-Inf" and "NaN", as
+// the Prometheus text format spells them. A gauge that is legitimately
+// infinite (a Monte-Carlo relative error before the first failure) must
+// not fail the whole snapshot.
+type jsonFloat float64
+
+func (f jsonFloat) MarshalJSON() ([]byte, error) {
+	switch v := float64(f); {
+	case math.IsInf(v, 1):
+		return []byte(`"+Inf"`), nil
+	case math.IsInf(v, -1):
+		return []byte(`"-Inf"`), nil
+	case math.IsNaN(v):
+		return []byte(`"NaN"`), nil
+	default:
+		return json.Marshal(v)
+	}
+}
+
+// MarshalJSON encodes the value as a jsonFloat.
+func (s Sample) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		LabelValues []string  `json:"labels,omitempty"`
+		Value       jsonFloat `json:"value"`
+	}{s.LabelValues, jsonFloat(s.Value)})
+}
+
+// MarshalJSON encodes the bounds and the sum as jsonFloats.
+func (h HistogramData) MarshalJSON() ([]byte, error) {
+	bounds := make([]jsonFloat, len(h.Bounds))
+	for i, b := range h.Bounds {
+		bounds[i] = jsonFloat(b)
+	}
+	return json.Marshal(struct {
+		Bounds []jsonFloat `json:"bounds"`
+		Counts []uint64    `json:"counts"`
+		Count  uint64      `json:"count"`
+		Sum    jsonFloat   `json:"sum"`
+	}{bounds, h.Counts, h.Count, jsonFloat(h.Sum)})
+}
+
+// SnapshotJSON renders the snapshot as indented JSON. Non-finite values
+// are written as strings (see jsonFloat).
 func (r *Registry) SnapshotJSON() ([]byte, error) {
 	snap := r.Snapshot()
 	if snap == nil {

@@ -3,6 +3,7 @@ package metrics
 import (
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -109,5 +110,49 @@ func TestSnapshotIsValidJSON(t *testing.T) {
 	}
 	if len(snap) != 6 {
 		t.Fatalf("families = %d", len(snap))
+	}
+}
+
+// TestSnapshotJSONNonFinite: a +Inf gauge (a Monte-Carlo relative error
+// before the first failure) and other non-finite values encode as the
+// Prometheus spellings instead of failing the whole snapshot.
+func TestSnapshotJSONNonFinite(t *testing.T) {
+	r := NewRegistry()
+	r.Gauge("demo_relerr", "Relative error.").Set(math.Inf(1))
+	r.GaugeVec("demo_edge", "Edge values.", "v").With("neg").Set(math.Inf(-1))
+	r.GaugeFunc("demo_nan", "Undefined.", func() float64 { return math.NaN() })
+	r.Histogram("demo_obs", "Observations.", []float64{1}).Observe(math.Inf(1))
+	b, err := r.SnapshotJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(b) {
+		t.Fatalf("invalid JSON:\n%s", b)
+	}
+	var snap []struct {
+		Name    string `json:"name"`
+		Samples []struct {
+			Value any `json:"value"`
+		} `json:"samples"`
+		Histogram *struct {
+			Sum any `json:"sum"`
+		} `json:"histogram"`
+	}
+	if err := json.Unmarshal(b, &snap); err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]any)
+	for _, f := range snap {
+		if f.Histogram != nil {
+			got[f.Name] = f.Histogram.Sum
+		} else {
+			got[f.Name] = f.Samples[0].Value
+		}
+	}
+	want := map[string]any{"demo_relerr": "+Inf", "demo_edge": "-Inf", "demo_nan": "NaN", "demo_obs": "+Inf"}
+	for name, v := range want {
+		if got[name] != v {
+			t.Errorf("%s encoded as %v, want %q", name, got[name], v)
+		}
 	}
 }

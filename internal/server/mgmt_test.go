@@ -58,6 +58,9 @@ func mgmtServer(t *testing.T, allowAnon bool, mopt jobs.Options) (*httptest.Serv
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { mg.Close() })
+	// Registered after the TempDirs, so it runs before they are removed:
+	// no runner can still be writing into them.
+	t.Cleanup(func() { mgr.Drain(context.Background()) })
 	srv, err := New(Options{Manager: mgr, Metrics: metrics.NewRegistry(), Mgmt: mg})
 	if err != nil {
 		t.Fatal(err)

@@ -475,7 +475,9 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 		if reg == nil {
 			return true
 		}
-		snap, err := reg.SnapshotJSON()
+		// Compact, not SnapshotJSON's indented form: the line encoder
+		// compacts a RawMessage anyway.
+		snap, err := json.Marshal(reg.Snapshot())
 		if err != nil {
 			return true
 		}
@@ -501,19 +503,22 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		case <-ticker.C:
-			if !sample() {
-				return
-			}
 			// Event delivery is best-effort: a slow subscriber can lose
 			// the terminal transition. The snapshot is ground truth, so
 			// every tick also checks it and closes the stream with a
-			// synthesized final event rather than sampling forever.
+			// synthesized final event and the final metrics snapshot
+			// rather than sampling forever.
 			if snap, err := s.mgr.Get(id); err == nil &&
 				(snap.State.Terminal() || snap.State == jobs.StateInterrupted) {
-				emit(streamLine{Type: "event", Event: &jobs.Event{
+				if emit(streamLine{Type: "event", Event: &jobs.Event{
 					JobID: id, Time: time.Now().UnixMilli(),
 					State: snap.State, Note: snap.Error,
-				}})
+				}}) {
+					sample()
+				}
+				return
+			}
+			if !sample() {
 				return
 			}
 		case <-r.Context().Done():

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -41,6 +42,9 @@ func testServer(t *testing.T, mopt jobs.Options) (*httptest.Server, *jobs.Manage
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Registered after the TempDirs, so it runs before they are removed:
+	// no runner can still be writing into them.
+	t.Cleanup(func() { mgr.Drain(context.Background()) })
 	srv, err := New(Options{
 		Manager: mgr, Metrics: metrics.NewRegistry(),
 		SampleInterval: 20 * time.Millisecond, Telemetry: mopt.Telemetry,
@@ -324,6 +328,48 @@ func TestEventStream(t *testing.T) {
 	}
 	if !sawDone || !sawSample || !sawNote {
 		t.Fatalf("stream missing content: done=%v sample=%v note=%v", sawDone, sawSample, sawNote)
+	}
+}
+
+// TestEventStreamCarriesNonFiniteSample: a job whose registry holds a
+// +Inf gauge (a reliability job with no failed replication has an
+// infinite relative error) still streams its samples, and the stream
+// ends with the final one.
+func TestEventStreamCarriesNonFiniteSample(t *testing.T) {
+	attached := make(chan struct{}) // closed once the stream is connected
+	runner := func(ctx context.Context, rc jobs.RunContext, spec config.Spec) (json.RawMessage, error) {
+		<-attached
+		rc.Metrics.Gauge("montecarlo_relative_error", "test").Set(math.Inf(1))
+		return json.RawMessage(`{}`), nil
+	}
+	ts, _ := testServer(t, jobs.Options{Runners: map[string]jobs.Runner{config.KindReliability: runner}})
+	_, body := post(t, ts.URL+"/v1/jobs", specBody(8))
+	var snap jobs.Snapshot
+	json.Unmarshal(body, &snap)
+
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + snap.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	if !sc.Scan() {
+		t.Fatalf("stream ended before first line: %v", sc.Err())
+	}
+	close(attached)
+	var last streamLine
+	for sc.Scan() {
+		last = streamLine{}
+		if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if last.Type != "sample" || !bytes.Contains(last.Metrics, []byte(`"+Inf"`)) {
+		t.Fatalf("stream did not end with a sample carrying +Inf; last line: type %q metrics %s", last.Type, last.Metrics)
 	}
 }
 

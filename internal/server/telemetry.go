@@ -2,9 +2,9 @@ package server
 
 // The /v1/telemetry endpoints: the HTTP face of the telemetry hub.
 // Running jobs push windowed samples through their RunContext; remote
-// producers (and dractl bench) can POST them; readers get per-job
-// range queries with pagination, a fleet aggregate, and a fleet-wide
-// NDJSON live tail that multiplexes every job's sample stream.
+// producers can POST them; readers get per-job range queries with
+// pagination, a fleet aggregate, and a fleet-wide NDJSON live tail that
+// multiplexes every job's sample stream.
 
 import (
 	"bufio"
@@ -161,7 +161,16 @@ func (s *Server) telemetryTail(w http.ResponseWriter, r *http.Request) {
 	for _, job := range s.opt.Telemetry.Jobs() {
 		open[job] = true
 	}
+	sample := func(smp telemetry.Sample) bool {
+		open[smp.Job] = true
+		return emit(tailLine{Type: "sample", Sample: &smp})
+	}
+	// reap closes out the jobs that have come to rest. A job's samples
+	// are all ingested before it rests, so reading the states first and
+	// then draining the samples already queued puts every sample of a
+	// job ahead of its done line, and none can reopen it afterwards.
 	reap := func() bool {
+		var rest []tailLine
 		for job := range open {
 			snap, err := s.mgr.Get(job)
 			if err != nil {
@@ -171,10 +180,19 @@ func (s *Server) telemetryTail(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			if snap.State.Terminal() || snap.State == jobs.StateInterrupted {
-				delete(open, job)
-				if !emit(tailLine{Type: "done", Job: job, State: snap.State, UnixMs: time.Now().UnixMilli()}) {
-					return false
-				}
+				rest = append(rest, tailLine{Type: "done", Job: job, State: snap.State})
+			}
+		}
+		for n := len(sub.C); n > 0; n-- {
+			if !sample(<-sub.C) {
+				return false
+			}
+		}
+		for _, line := range rest {
+			delete(open, line.Job)
+			line.UnixMs = time.Now().UnixMilli()
+			if !emit(line) {
+				return false
 			}
 		}
 		return true
@@ -188,11 +206,7 @@ func (s *Server) telemetryTail(w http.ResponseWriter, r *http.Request) {
 	for {
 		select {
 		case smp, ok := <-sub.C:
-			if !ok {
-				return
-			}
-			open[smp.Job] = true
-			if !emit(tailLine{Type: "sample", Sample: &smp}) {
+			if !ok || !sample(smp) {
 				return
 			}
 		case <-ticker.C:

@@ -10,7 +10,7 @@ import (
 // relevant pools, then pins the steady-state allocation count to zero with
 // testing.AllocsPerRun. Any regression — a new closure in the hot loop, a
 // lost free-list, an event record escaping — fails here before it shows up
-// as a throughput loss in BENCH_simcore.json.
+// as a throughput loss in the benchmark.
 
 func skipUnderRace(t *testing.T) {
 	t.Helper()
@@ -36,42 +36,40 @@ func TestKernelSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestSchedulerOpsAllocFree pins Push/Pop on every scheduler to zero
-// allocations under the hold model — pop one, push one at a stationary
-// population, the shape of a steady-state DES future event list — once
-// bucket/heap storage has grown to the working set.
+// TestSchedulerOpsAllocFree pins Heap Push/Pop to zero allocations under
+// the hold model — pop one, push one at a stationary population, the shape
+// of a steady-state DES future event list — once heap storage has grown to
+// the working set.
 func TestSchedulerOpsAllocFree(t *testing.T) {
 	skipUnderRace(t)
-	for name, mk := range schedulersUnderTest() {
-		t.Run(name, func(t *testing.T) {
-			s := mk()
-			var now Time
-			var seq uint64
+	t.Run("heap", func(t *testing.T) {
+		var h Heap
+		var now Time
+		var seq uint64
+		for i := 0; i < 64; i++ {
+			seq++
+			h.Push(&Event{at: Time(i%7) + 1, seq: seq})
+		}
+		hold := func() {
 			for i := 0; i < 64; i++ {
+				e := h.Pop()
+				now = e.at
 				seq++
-				s.Push(&Event{at: Time(i%7) + 1, seq: seq})
+				e.at, e.seq = now+Time(seq%7)+1, seq
+				h.Push(e)
 			}
-			hold := func() {
-				for i := 0; i < 64; i++ {
-					e := s.Pop()
-					now = e.at
-					seq++
-					e.at, e.seq = now+Time(seq%7)+1, seq
-					s.Push(e)
-				}
-			}
-			for i := 0; i < 32; i++ { // warm storage
-				hold()
-			}
-			if n := testing.AllocsPerRun(100, hold); n != 0 {
-				t.Fatalf("%s hold cycle allocates %v, want 0", name, n)
-			}
-		})
-	}
+		}
+		for i := 0; i < 32; i++ { // warm storage
+			hold()
+		}
+		if n := testing.AllocsPerRun(100, hold); n != 0 {
+			t.Fatalf("heap hold cycle allocates %v, want 0", n)
+		}
+	})
 }
 
-// TestRescheduleAllocFree pins the single-event retarget fast path and the
-// bulk RescheduleLazy/Commit path to zero allocations.
+// TestRescheduleAllocFree pins the bulk RescheduleLazy/Commit retarget
+// path to zero allocations.
 func TestRescheduleAllocFree(t *testing.T) {
 	skipUnderRace(t)
 	k := NewKernel()
@@ -80,12 +78,6 @@ func TestRescheduleAllocFree(t *testing.T) {
 		tms[i] = k.After(Time(1+i), func() {})
 	}
 	var base Time
-	single := func() {
-		base++
-		for i := range tms {
-			tms[i] = k.Reschedule(tms[i], k.Now()+base+Time(i))
-		}
-	}
 	bulk := func() {
 		base++
 		for i := range tms {
@@ -93,11 +85,7 @@ func TestRescheduleAllocFree(t *testing.T) {
 		}
 		k.Commit()
 	}
-	single()
 	bulk()
-	if n := testing.AllocsPerRun(100, single); n != 0 {
-		t.Fatalf("Reschedule allocates %v per 32 retargets, want 0", n)
-	}
 	if n := testing.AllocsPerRun(100, bulk); n != 0 {
 		t.Fatalf("RescheduleLazy/Commit allocates %v per 32 retargets, want 0", n)
 	}

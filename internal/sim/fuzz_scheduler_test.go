@@ -8,15 +8,14 @@ import (
 // decodeScript turns an arbitrary byte string into a scheduler op script.
 // The decoding is total — any input is a valid script — so the fuzzer can
 // explore freely. Deltas are quantized to 1/8 units to provoke exact ties,
-// and one op in sixteen pushes a far-future outlier to exercise the
-// calendar's sentinel-window path.
+// and one op in sixteen pushes a far-future outlier.
 func decodeScript(data []byte) []scriptOp {
 	var ops []scriptOp
 	for i := 0; i+2 < len(data); i += 3 {
 		sel, a, b := data[i], data[i+1], data[i+2]
 		delta := Time(float64(uint16(a)<<8|uint16(b)) / 8)
 		if sel&0xF0 == 0xF0 {
-			delta *= 1e18 // far-future outlier: clamps to the sentinel window
+			delta *= 1e18 // far-future outlier
 		}
 		switch sel % 4 {
 		case 0, 1:
@@ -34,10 +33,9 @@ func decodeScript(data []byte) []scriptOp {
 	return ops
 }
 
-// FuzzScheduler drives the calendar queue and the hybrid through arbitrary
-// op scripts with the reference heap as the oracle: any divergence in pop
-// order is a scheduler bug. This is the adversarial arm of the equivalence
-// wall in scheduler_equiv_test.go.
+// FuzzScheduler drives the heap through arbitrary op scripts with the
+// linear-scan queue as the oracle: any divergence in pop order is a heap
+// bug. This is the adversarial arm of the wall in scheduler_equiv_test.go.
 func FuzzScheduler(f *testing.F) {
 	// Seed with shapes the random suite found interesting: steady pushes,
 	// tie storms, push/pop churn, far-future outliers, and remove/update
@@ -59,22 +57,6 @@ func FuzzScheduler(f *testing.F) {
 		if len(data) > 4096 {
 			t.Skip("script too long")
 		}
-		ops := decodeScript(data)
-		want := runScript(NewHeap(), ops)
-		for name, mk := range schedulersUnderTest() {
-			if name == "heap" {
-				continue
-			}
-			got := runScript(mk(), ops)
-			if len(got) != len(want) {
-				t.Fatalf("%s popped %d events, heap popped %d", name, len(got), len(want))
-			}
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("%s diverges from heap at pop %d: got (%v, %d), want (%v, %d)",
-						name, i, got[i].at, got[i].seq, want[i].at, want[i].seq)
-				}
-			}
-		}
+		assertMatchesOracle(t, decodeScript(data), "fuzz")
 	})
 }

@@ -1,48 +1,5 @@
 package sim
 
-// Scheduler is the future event list abstraction: a priority queue of
-// events ordered by (time, sequence), the sequence breaking ties FIFO so
-// simultaneous events fire in schedule order. The kernel owns exactly one
-// scheduler; two implementations exist:
-//
-//   - Heap, a binary heap — the reference implementation. O(log n) per
-//     operation, no tuning parameters, trivially correct.
-//   - Calendar, a calendar queue (Brown 1988) — the production
-//     implementation. Amortised O(1) push/pop under the stationary event
-//     populations DES workloads produce, tunable to a known event cadence
-//     (the EIB's TDM slot time) via NewCalendarWidth.
-//
-// Both order events identically — the equivalence suite and FuzzScheduler
-// drive them with the same scripts and require identical pop sequences —
-// so swapping one for the other cannot change simulated behaviour, only
-// wall time.
-//
-// Events handed to Push are owned by the scheduler until returned by Pop
-// or detached by Remove; the kernel recycles them through its free list
-// afterwards. Implementations communicate the queue position through the
-// event's pos field and must set pos to -1 on Pop/Remove.
-type Scheduler interface {
-	// Push enqueues the event. The event's at and seq are already set and
-	// immutable while queued.
-	Push(e *Event)
-	// Pop removes and returns the minimum event by (at, seq), or nil when
-	// the queue is empty.
-	Pop() *Event
-	// PeekAt returns the minimum pending time without dequeuing.
-	PeekAt() (Time, bool)
-	// Remove detaches a queued event, reporting whether it was queued.
-	Remove(e *Event) bool
-	// Update repositions a queued event after its (at, seq) key changed —
-	// the kernel's Reschedule fast path. The event must be queued.
-	Update(e *Event)
-	// Rebuild restores queue invariants after the keys of arbitrarily many
-	// queued events changed (the kernel's RescheduleLazy/Commit bulk path).
-	// O(n), cheaper than n Updates when most of the population moved.
-	Rebuild()
-	// Len returns the number of queued events.
-	Len() int
-}
-
 // before reports whether a fires before b: earlier time, or FIFO among
 // simultaneous events.
 func before(a, b *Event) bool {
@@ -52,20 +9,28 @@ func before(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// Heap is the reference Scheduler: a binary min-heap on (at, seq). It is
+// Heap is the kernel's future event list: a binary min-heap on (at, seq),
+// the sequence breaking ties FIFO so simultaneous events fire in schedule
+// order. The zero Heap is empty and ready to use.
+//
+// The DRA models keep small event populations — the shipped workloads
+// peak at a few dozen to a couple of hundred pending events — so an
+// O(log n) heap with no tuning parameters is all the kernel needs. It is
 // implemented directly (not via container/heap) so the hot path has no
-// interface boxing; the event's pos field holds its heap index.
+// interface boxing.
+//
+// Events handed to Push are owned by the heap until returned by Pop or
+// detached by Remove; the kernel recycles them through its free list
+// afterwards. The event's pos field holds its heap index, -1 while
+// unqueued.
 type Heap struct {
 	es []*Event
 }
 
-// NewHeap returns an empty heap scheduler.
-func NewHeap() *Heap { return &Heap{} }
-
-// Len implements Scheduler.
+// Len returns the number of queued events.
 func (h *Heap) Len() int { return len(h.es) }
 
-// PeekAt implements Scheduler.
+// PeekAt returns the minimum pending time without dequeuing.
 func (h *Heap) PeekAt() (Time, bool) {
 	if len(h.es) == 0 {
 		return 0, false
@@ -73,14 +38,16 @@ func (h *Heap) PeekAt() (Time, bool) {
 	return h.es[0].at, true
 }
 
-// Push implements Scheduler.
+// Push enqueues the event. Its at and seq are already set and must not
+// change while it is queued, except through Rebuild.
 func (h *Heap) Push(e *Event) {
 	e.pos = int32(len(h.es))
 	h.es = append(h.es, e)
 	h.up(int(e.pos))
 }
 
-// Pop implements Scheduler.
+// Pop removes and returns the minimum event by (at, seq), or nil when the
+// heap is empty.
 func (h *Heap) Pop() *Event {
 	n := len(h.es)
 	if n == 0 {
@@ -99,7 +66,7 @@ func (h *Heap) Pop() *Event {
 	return e
 }
 
-// Remove implements Scheduler.
+// Remove detaches a queued event, reporting whether it was queued.
 func (h *Heap) Remove(e *Event) bool {
 	i := int(e.pos)
 	if i < 0 || i >= len(h.es) || h.es[i] != e {
@@ -120,15 +87,9 @@ func (h *Heap) Remove(e *Event) bool {
 	return true
 }
 
-// Update implements Scheduler: one sift from the event's current slot.
-func (h *Heap) Update(e *Event) {
-	i := int(e.pos)
-	if !h.down(i) {
-		h.up(i)
-	}
-}
-
-// Rebuild implements Scheduler: bottom-up heapify.
+// Rebuild restores the heap order after the keys of arbitrarily many
+// queued events changed (the kernel's RescheduleLazy/Commit path): a
+// bottom-up heapify, O(n).
 func (h *Heap) Rebuild() {
 	for i := len(h.es)/2 - 1; i >= 0; i-- {
 		h.down(i)

@@ -6,51 +6,86 @@ import (
 	"testing"
 )
 
-// The scheduler equivalence wall: every Scheduler implementation must
-// produce the identical pop sequence for the identical op script. The heap
-// is the reference; the calendar queue and the hybrid are checked against
-// it here (randomized scripts, exact-tie storms, in-loop insertions) and
-// in FuzzScheduler (adversarial byte scripts with the heap as oracle).
+// The scheduler wall: the heap must produce the same pop sequence as a
+// naive oracle, a linear-scan queue ordered by (at, seq), for the same op
+// script. It is checked here (randomized scripts, exact-tie storms,
+// in-loop insertions) and in FuzzScheduler (adversarial byte scripts).
 
-// popRec is one observed pop, keyed exactly as the schedulers order.
+// popRec is one observed pop, keyed exactly as the queues order.
 type popRec struct {
 	at  Time
 	seq uint64
 }
 
-// schedulerUnderTest enumerates the implementations the wall covers. The
-// fixed-width calendar uses a deliberately poor width to stress bucket
-// overflow and the degenerate-distribution fallbacks.
-func schedulersUnderTest() map[string]func() Scheduler {
-	return map[string]func() Scheduler{
-		"heap":           func() Scheduler { return NewHeap() },
-		"calendar":       func() Scheduler { return NewCalendar() },
-		"calendar-fixed": func() Scheduler { return NewCalendarWidth(0.013) },
-		"hybrid":         func() Scheduler { return NewHybrid() },
-	}
+// queue is the op surface a script drives: Heap and the oracle.
+type queue interface {
+	Push(e *Event)
+	Pop() *Event
+	Remove(e *Event) bool
+	Rebuild()
+	Len() int
 }
 
-// scriptOp is one decoded operation of a scheduler script. Times are
-// deltas from the simulated "now" (the at of the last popped event), which
-// keeps the script inside the kernel's contract: events are never pushed
-// into the past.
+// scanQueue is the oracle: an unordered slice, each Pop a linear scan for
+// the minimum (at, seq). Too slow for the kernel, too simple to be wrong.
+type scanQueue struct {
+	es []*Event
+}
+
+func (q *scanQueue) Push(e *Event) { q.es = append(q.es, e) }
+
+func (q *scanQueue) Pop() *Event {
+	if len(q.es) == 0 {
+		return nil
+	}
+	min := 0
+	for i, e := range q.es {
+		if before(e, q.es[min]) {
+			min = i
+		}
+	}
+	e := q.es[min]
+	q.es = append(q.es[:min], q.es[min+1:]...)
+	return e
+}
+
+func (q *scanQueue) Remove(e *Event) bool {
+	for i, x := range q.es {
+		if x == e {
+			q.es = append(q.es[:i], q.es[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+func (q *scanQueue) Rebuild() {}
+
+func (q *scanQueue) Len() int { return len(q.es) }
+
+// scriptOp is one decoded operation of a queue script. Times are deltas
+// from the simulated "now" (the at of the last popped event), which keeps
+// the script inside the kernel's contract: events are never pushed into
+// the past.
 type scriptOp struct {
 	kind  byte // 0 push, 1 pop, 2 remove, 3 update
 	delta Time
 	idx   int // live-set index for remove/update
 }
 
-// runScript drives s through the ops and returns the full pop order,
+// runScript drives q through the ops and returns the full pop order,
 // draining the queue at the end. The live set is maintained identically
-// for every scheduler given the same script, so divergence shows up as a
-// differing pop sequence rather than a different interpretation.
-func runScript(s Scheduler, ops []scriptOp) []popRec {
+// for every queue given the same script, so divergence shows up as a
+// differing pop sequence rather than a different interpretation. An
+// update changes one queued event's key and then calls Rebuild, the path
+// Kernel.Commit takes after RescheduleLazy.
+func runScript(q queue, ops []scriptOp) []popRec {
 	var out []popRec
 	var live []*Event
 	var seq uint64
 	var now Time
 	pop := func() {
-		e := s.Pop()
+		e := q.Pop()
 		if e == nil {
 			return
 		}
@@ -68,7 +103,7 @@ func runScript(s Scheduler, ops []scriptOp) []popRec {
 		case 0:
 			seq++
 			e := &Event{at: now + op.delta, seq: seq}
-			s.Push(e)
+			q.Push(e)
 			live = append(live, e)
 		case 1:
 			pop()
@@ -76,7 +111,7 @@ func runScript(s Scheduler, ops []scriptOp) []popRec {
 			if len(live) > 0 {
 				i := op.idx % len(live)
 				e := live[i]
-				if !s.Remove(e) {
+				if !q.Remove(e) {
 					panic("live event not removable")
 				}
 				live = append(live[:i], live[i+1:]...)
@@ -86,19 +121,18 @@ func runScript(s Scheduler, ops []scriptOp) []popRec {
 				e := live[op.idx%len(live)]
 				seq++
 				e.at, e.seq = now+op.delta, seq
-				s.Update(e)
+				q.Rebuild()
 			}
 		}
 	}
-	for s.Len() > 0 {
+	for q.Len() > 0 {
 		pop()
 	}
 	return out
 }
 
 // genScript produces a random op script. tieDenom quantizes times so exact
-// ties occur frequently; spread sets the time scale (mixing very small and
-// very large spreads exercises calendar width adaptation).
+// ties occur frequently; spread sets the time scale.
 func genScript(rng *rand.Rand, n int, tieDenom float64, spread float64) []scriptOp {
 	ops := make([]scriptOp, 0, n)
 	for i := 0; i < n; i++ {
@@ -117,41 +151,37 @@ func genScript(rng *rand.Rand, n int, tieDenom float64, spread float64) []script
 	return ops
 }
 
-func assertSameOrder(t *testing.T, want, got []popRec, name string) {
+// assertMatchesOracle runs the script on the oracle and on a Heap and
+// requires pop-for-pop agreement.
+func assertMatchesOracle(t *testing.T, ops []scriptOp, name string) {
 	t.Helper()
+	want := runScript(&scanQueue{}, ops)
+	got := runScript(&Heap{}, ops)
 	if len(want) != len(got) {
-		t.Fatalf("%s popped %d events, heap popped %d", name, len(got), len(want))
+		t.Fatalf("%s: heap popped %d events, oracle popped %d", name, len(got), len(want))
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			t.Fatalf("%s diverges from heap at pop %d: got (%v, %d), want (%v, %d)",
+			t.Fatalf("%s: heap diverges from oracle at pop %d: got (%v, %d), want (%v, %d)",
 				name, i, got[i].at, got[i].seq, want[i].at, want[i].seq)
 		}
 	}
 }
 
-// TestSchedulerEquivalenceRandomScripts drives every implementation with
-// the same randomized scripts across several time scales and requires
-// pop-for-pop agreement with the heap.
+// TestSchedulerEquivalenceRandomScripts drives the heap and the oracle
+// with the same randomized scripts across several time scales.
 func TestSchedulerEquivalenceRandomScripts(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		for _, spread := range []float64{1e-6, 1.0, 1e6} {
 			rng := rand.New(rand.NewSource(seed))
 			ops := genScript(rng, 600, 64, spread)
-			want := runScript(NewHeap(), ops)
-			for name, mk := range schedulersUnderTest() {
-				if name == "heap" {
-					continue
-				}
-				got := runScript(mk(), ops)
-				assertSameOrder(t, want, got, fmt.Sprintf("%s(seed=%d,spread=%g)", name, seed, spread))
-			}
+			assertMatchesOracle(t, ops, fmt.Sprintf("seed=%d,spread=%g", seed, spread))
 		}
 	}
 }
 
 // TestSchedulerEquivalenceAllTies floods the queue with events at the very
-// same timestamp: order must degrade to pure FIFO (seq order) everywhere.
+// same timestamp: order must degrade to pure FIFO (seq order).
 func TestSchedulerEquivalenceAllTies(t *testing.T) {
 	ops := make([]scriptOp, 0, 600)
 	for i := 0; i < 400; i++ {
@@ -160,18 +190,12 @@ func TestSchedulerEquivalenceAllTies(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		ops = append(ops, scriptOp{kind: 1})
 	}
-	want := runScript(NewHeap(), ops)
-	for i, r := range want {
+	for i, r := range runScript(&Heap{}, ops) {
 		if r.seq != uint64(i+1) {
 			t.Fatalf("tie order is not FIFO: pop %d has seq %d", i, r.seq)
 		}
 	}
-	for name, mk := range schedulersUnderTest() {
-		if name == "heap" {
-			continue
-		}
-		assertSameOrder(t, want, runScript(mk(), ops), name)
-	}
+	assertMatchesOracle(t, ops, "all-ties")
 }
 
 // TestSchedulerEquivalenceInLoopInsertions interleaves pops with pushes of
@@ -188,34 +212,5 @@ func TestSchedulerEquivalenceInLoopInsertions(t *testing.T) {
 			scriptOp{kind: 0, delta: Time(rng.Float64() * 0.01)},
 			scriptOp{kind: 1})
 	}
-	want := runScript(NewHeap(), ops)
-	for name, mk := range schedulersUnderTest() {
-		if name == "heap" {
-			continue
-		}
-		assertSameOrder(t, want, runScript(mk(), ops), name)
-	}
-}
-
-// TestHybridMigrationEquivalence pushes the population through both
-// hybrid thresholds (heap→calendar above hybridUp, calendar→heap below
-// hybridDown) and checks order against the heap the whole way.
-func TestHybridMigrationEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	n := 2 * hybridUp
-	ops := make([]scriptOp, 0, 4*n)
-	for i := 0; i < n; i++ {
-		ops = append(ops, scriptOp{kind: 0, delta: Time(rng.Float64() * 1000)})
-	}
-	// Drain to far below hybridDown with occasional reinsertions, then
-	// fully: both migrations happen inside one script.
-	for i := 0; i < n-hybridDown/2; i++ {
-		ops = append(ops, scriptOp{kind: 1})
-		if i%7 == 0 {
-			ops = append(ops, scriptOp{kind: 0, delta: Time(rng.Float64() * 1000)})
-		}
-	}
-	want := runScript(NewHeap(), ops)
-	got := runScript(NewHybrid(), ops)
-	assertSameOrder(t, want, got, "hybrid-migration")
+	assertMatchesOracle(t, ops, "in-loop")
 }

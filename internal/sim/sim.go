@@ -1,8 +1,7 @@
 // Package sim is a minimal discrete-event simulation kernel: a simulation
-// clock, a pluggable future event list (calendar queue in production, binary
-// heap as reference — see Scheduler) with stable FIFO ordering among
-// same-time events, and cancellable timers. The router, linecard, EIB, and
-// fabric models are all built on it.
+// clock, a binary-heap future event list (see Heap) with stable FIFO
+// ordering among same-time events, and cancellable timers. The router,
+// linecard, EIB, and fabric models are all built on it.
 //
 // The kernel owns its Event records and recycles them through a free list,
 // so the steady-state schedule/fire cycle allocates nothing. Callers never
@@ -33,14 +32,12 @@ type Event struct {
 	at  Time
 	seq uint64
 	fn  func()
-	// pos is the event's position in the scheduler (heap index or calendar
-	// bucket), -1 while unqueued. Maintained by the Scheduler.
+	// pos is the event's heap index, -1 while unqueued. Maintained by
+	// Heap.
 	pos int32
 	// gen is bumped each time the record is recycled; a Timer carrying a
 	// stale generation is inert.
 	gen uint32
-	// win is the event's calendar window number, owned by Calendar.
-	win int64
 }
 
 // Timer is a cancellable handle to a scheduled event. The zero Timer is
@@ -68,7 +65,7 @@ func (t Timer) Active() bool {
 // keeps runs deterministic and reproducible.
 type Kernel struct {
 	now Time
-	q   Scheduler
+	q   Heap
 	seq uint64
 	// free is the recycled-event list. The kernel is single-threaded, so a
 	// plain slice beats sync.Pool: no per-P caches, no GC-cycle eviction.
@@ -95,20 +92,8 @@ type Kernel struct {
 	mSimNow    *metrics.Gauge
 }
 
-// NewKernel returns a kernel with the clock at zero, backed by the
-// adaptive Hybrid scheduler (heap regime for small event populations,
-// calendar regime for large ones).
-func NewKernel() *Kernel { return NewKernelWith(NewHybrid()) }
-
-// NewKernelWith returns a kernel backed by the given scheduler — the
-// reference heap for differential testing, or a width-pinned calendar for
-// a known event cadence.
-func NewKernelWith(q Scheduler) *Kernel {
-	if q == nil {
-		panic("sim: nil scheduler")
-	}
-	return &Kernel{q: q}
-}
+// NewKernel returns a kernel with the clock at zero and no pending events.
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Instrument resolves the kernel's metrics against reg:
 //
@@ -202,47 +187,19 @@ func (k *Kernel) Schedule(at Time, fn func()) Timer {
 	return Timer{e: e, gen: e.gen, at: at}
 }
 
-// Reschedule moves a still-pending event to a new time, keeping its
-// callback. It is the fast path for redraw-heavy models (the fault
-// injector's busy-period retargets): one queue reposition instead of a
-// Cancel plus a fresh Schedule, no record churn, no new closure. The
-// timer must be Active and at must not be in the past; the returned Timer
-// supersedes t (which stays valid — both refer to the same pending event).
-func (k *Kernel) Reschedule(t Timer, at Time) Timer {
-	if t.e == nil || t.e.gen != t.gen || t.e.pos < 0 {
-		panic("sim: Reschedule of inactive timer")
-	}
-	if at < k.now {
-		panic(fmt.Sprintf("sim: rescheduling at %v before now %v", at, k.now))
-	}
-	if k.dirty {
-		panic("sim: queue operation during uncommitted RescheduleLazy run")
-	}
-	e := t.e
-	e.at = at
-	e.seq = k.seq
-	k.seq++
-	k.q.Update(e)
-	if k.mScheduled != nil {
-		// Counter-wise a reschedule is a cancel plus a schedule; depth is
-		// unchanged.
-		k.mCancelled.Inc()
-		k.mScheduled.Inc()
-	}
-	return Timer{e: e, gen: e.gen, at: at}
-}
-
-// RescheduleLazy is the bulk form of Reschedule: it moves the timer's
-// key without repositioning it in the queue. After a run of lazy
-// reschedules the caller MUST call Commit before any other kernel
-// operation — the queue's ordering invariants are suspended in between,
-// and every other queue operation panics until Commit runs. Rescheduling
-// n events this way costs one O(n) rebuild instead of n O(log n)
-// repositions, which is what a whole-population retarget (the fault
-// injector's busy-period biasing) wants.
+// RescheduleLazy moves a still-pending event to a new time, keeping its
+// callback, without repositioning it in the queue: no record churn, no
+// new closure. After a run of lazy reschedules the caller MUST call
+// Commit before any other kernel operation — the queue's ordering
+// invariants are suspended in between, and every other queue operation
+// panics until Commit runs. Rescheduling n events this way costs one
+// O(n) rebuild, which is what a whole-population retarget (the fault
+// injector's busy-period biasing) wants. The timer must be Active and at
+// must not be in the past; the returned Timer supersedes t (which stays
+// valid — both refer to the same pending event).
 func (k *Kernel) RescheduleLazy(t Timer, at Time) Timer {
 	if t.e == nil || t.e.gen != t.gen || t.e.pos < 0 {
-		panic("sim: Reschedule of inactive timer")
+		panic("sim: RescheduleLazy of inactive timer")
 	}
 	if at < k.now {
 		panic(fmt.Sprintf("sim: rescheduling at %v before now %v", at, k.now))

@@ -1,33 +1,15 @@
-// Package simbench measures the DES core hot paths — the rare-event
-// Monte Carlo loop, the fault-free packet delivery path, and raw
-// scheduler ops — and reports them against the pre-rewrite seed
-// baseline. It backs `dractl bench -mode simcore` and the
-// BENCH_simcore.json artifact.
+// Package simbench measures the DES core hot paths: the rare-event Monte
+// Carlo loop at the paper's E5b point and a raw kernel schedule+pop
+// cycle. The drad benchmark's per-layer sim metrics are taken from it.
 package simbench
 
 import (
 	"testing"
 
-	"repro/internal/packet"
+	"repro/internal/linecard"
 	"repro/internal/router"
 	"repro/internal/sim"
-	"repro/internal/workload"
 	"repro/internal/xrand"
-)
-
-// Seed-baseline numbers, measured at the commit immediately before the
-// zero-alloc simcore rewrite (binary-heap scheduler, per-event closure
-// allocation, unpooled packets) on the same workloads below.
-const (
-	seedRareEventNsPerOp     = 1.67e6 // 200 regenerative cycles, N=9 M=4
-	seedRareEventNsPerEv     = 3544
-	seedRareEventEvPerSec    = 282e3
-	seedRareEventAllocsPerEv = 34.7
-	seedDeliverNsPerOp       = 1058
-	seedDeliverAllocsPerOp   = 2
-	seedDeliverBytesPerOp    = 1692
-	seedSchedulerNsPerOp     = 66.6
-	seedSchedulerAllocsPerOp = 1
 )
 
 // Metric is one benchmark's outcome.
@@ -44,26 +26,8 @@ type Metric struct {
 	AllocsPerEvent float64 `json:"allocs_per_event,omitempty"`
 }
 
-// Comparison pairs a seed-baseline metric with the current measurement.
-type Comparison struct {
-	Name    string  `json:"name"`
-	Before  Metric  `json:"before"`
-	After   Metric  `json:"after"`
-	Speedup float64 `json:"speedup"` // before.NsPerOp / after.NsPerOp
-}
-
-// Report is the BENCH_simcore.json document.
-type Report struct {
-	Mode       string       `json:"mode"` // "simcore"
-	Scheduler  string       `json:"scheduler"`
-	Benchmarks []Comparison `json:"benchmarks"`
-	// SteadyStateAllocs summarizes the AllocsPerRun gates that pin the
-	// warm hot paths (see internal/*/allocs_test.go); all must be zero.
-	SteadyStateAllocs map[string]float64 `json:"steady_state_allocs"`
-}
-
 // rareEventCycles runs the exact hot loop of montecarlo's
-// unavailability estimator: one router, balanced failure biasing,
+// unavailability estimator: one DRA router, balanced failure biasing,
 // `cycles` regenerative cycles. Returns kernel events processed.
 func rareEventCycles(seed uint64, cycles int) uint64 {
 	const (
@@ -72,7 +36,7 @@ func rareEventCycles(seed uint64, cycles int) uint64 {
 		targetLC = 0
 	)
 	src := xrand.New(seed)
-	cfg := router.UniformConfig(0, n, m) // DRA
+	cfg := router.UniformConfig(linecard.DRA, n, m)
 	cfg.Source = src
 	r, err := router.New(cfg)
 	if err != nil {
@@ -139,36 +103,6 @@ func RunRareEvent() Metric {
 	return m
 }
 
-// RunDeliver benchmarks the fault-free packet path: lookup,
-// segmentation, fabric transfer, reassembly.
-func RunDeliver() Metric {
-	r, err := router.New(router.UniformConfig(0, 9, 4))
-	if err != nil {
-		panic(err)
-	}
-	r.InstallUniformRoutes()
-	p := packet.Get()
-	defer packet.Release(p)
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dst := (i*7)%8 + 1
-			*p = packet.Packet{
-				ID:    uint64(i),
-				SrcLC: i % 9,
-				DstIP: workload.PrefixFor(dst) | 1,
-				DstLC: -1,
-				Bytes: 1500,
-			}
-			rep := r.Deliver(p)
-			if rep.Kind == router.PathDropped {
-				b.Fatalf("dropped: %s", rep.DropReason)
-			}
-		}
-	})
-	return toMetric(res)
-}
-
 // RunScheduler benchmarks a schedule+pop cycle through the kernel.
 func RunScheduler() Metric {
 	k := sim.NewKernel()
@@ -181,103 +115,4 @@ func RunScheduler() Metric {
 		}
 	})
 	return toMetric(res)
-}
-
-// steadyStateAllocs re-measures the warm-path AllocsPerRun gates so the
-// report carries live numbers, not just the test wall's pass/fail.
-func steadyStateAllocs() map[string]float64 {
-	out := make(map[string]float64)
-
-	// Pool cycle.
-	for i := 0; i < 64; i++ {
-		packet.Release(packet.Get())
-	}
-	out["packet_pool_cycle"] = testing.AllocsPerRun(200, func() {
-		p := packet.Get()
-		p.Bytes = 1500
-		packet.Release(p)
-	})
-
-	// Scheduler hold model: pop one, push one, at stationary population.
-	k := sim.NewKernel()
-	var fire func()
-	fire = func() { k.After(1, fire) }
-	k.After(1, fire)
-	for i := 0; i < 100; i++ {
-		k.Step()
-	}
-	out["scheduler_hold"] = testing.AllocsPerRun(200, func() { k.Step() })
-
-	// Steady-state Deliver.
-	r, err := router.New(router.UniformConfig(0, 6, 3))
-	if err != nil {
-		panic(err)
-	}
-	r.InstallUniformRoutes()
-	p := packet.Get()
-	defer packet.Release(p)
-	id := uint64(0)
-	deliver := func() {
-		id++
-		*p = packet.Packet{
-			ID:    id,
-			SrcLC: 0,
-			DstIP: workload.PrefixFor(1) | 0x123,
-			DstLC: -1,
-			Proto: packet.ProtoEthernet,
-			Bytes: 1500,
-		}
-		if rep := r.Deliver(p); rep.Kind == router.PathDropped {
-			panic("dropped: " + rep.DropReason)
-		}
-	}
-	for i := 0; i < 48; i++ {
-		deliver()
-	}
-	out["router_deliver"] = testing.AllocsPerRun(200, deliver)
-	return out
-}
-
-// Run executes the full simcore suite and assembles the report.
-func Run() Report {
-	rare := RunRareEvent()
-	del := RunDeliver()
-	sched := RunScheduler()
-	return Report{
-		Mode:      "simcore",
-		Scheduler: "hybrid (heap<=1024 events, calendar queue above)",
-		Benchmarks: []Comparison{
-			{
-				Name: "rare_event_200_cycles",
-				Before: Metric{
-					NsPerOp:        seedRareEventNsPerOp,
-					EventsPerSec:   seedRareEventEvPerSec,
-					NsPerEvent:     seedRareEventNsPerEv,
-					AllocsPerEvent: seedRareEventAllocsPerEv,
-				},
-				After:   rare,
-				Speedup: seedRareEventNsPerOp / rare.NsPerOp,
-			},
-			{
-				Name: "deliver_fault_free",
-				Before: Metric{
-					NsPerOp:     seedDeliverNsPerOp,
-					AllocsPerOp: seedDeliverAllocsPerOp,
-					BytesPerOp:  seedDeliverBytesPerOp,
-				},
-				After:   del,
-				Speedup: seedDeliverNsPerOp / del.NsPerOp,
-			},
-			{
-				Name: "scheduler_push_pop",
-				Before: Metric{
-					NsPerOp:     seedSchedulerNsPerOp,
-					AllocsPerOp: seedSchedulerAllocsPerOp,
-				},
-				After:   sched,
-				Speedup: seedSchedulerNsPerOp / sched.NsPerOp,
-			},
-		},
-		SteadyStateAllocs: steadyStateAllocs(),
-	}
 }

@@ -112,14 +112,14 @@ func Open(dir string, opt Options) (*Store, error) {
 	}
 	reg := opt.Metrics
 	s := &Store{
-		dir:          dir,
-		maxBytes:     opt.MaxBytes,
-		hotBudget:    hot,
-		entries:      make(map[string]*entry),
-		hits:         reg.Counter("store_hits_total", "Cache lookups served from the store."),
-		misses:       reg.Counter("store_misses_total", "Cache lookups that found no object."),
-		corruptions:  reg.Counter("store_corruptions_total", "Objects evicted after a checksum mismatch."),
-		evictions:    reg.Counter("store_evictions_total", "Objects evicted by the LRU byte budget."),
+		dir:           dir,
+		maxBytes:      opt.MaxBytes,
+		hotBudget:     hot,
+		entries:       make(map[string]*entry),
+		hits:          reg.Counter("store_hits_total", "Cache lookups served from the store."),
+		misses:        reg.Counter("store_misses_total", "Cache lookups that found no object."),
+		corruptions:   reg.Counter("store_corruptions_total", "Objects evicted after a checksum mismatch."),
+		evictions:     reg.Counter("store_evictions_total", "Objects evicted by the LRU byte budget."),
 		bytesGauge:    reg.Gauge("store_bytes", "Payload bytes currently on disk."),
 		objectsGauge:  reg.Gauge("store_objects", "Objects currently stored."),
 		writableGauge: reg.Gauge("store_writable", "1 when the store directory accepts writes, 0 when result persistence is failing."),
