@@ -25,12 +25,16 @@ lint:
 
 # Race-detect the packages that share state across goroutines: the
 # metrics registry (hammered by concurrent Monte-Carlo workers), the
-# router/montecarlo pipeline that shares it, and the packet pool fed to
-# the sweep worker pool. Short mode: the point is data-race coverage
-# (the montecarlo race soak, the pool soak), not statistical power —
-# the long cross-validation runs stay in plain `make test`.
+# router/montecarlo pipeline that shares it, the packet pool fed to the
+# sweep worker pool, and the service packages (job manager, result
+# store, telemetry hub, retrying client, HTTP server) whose handlers,
+# runners and lease calls share the manager's state. Short mode: the
+# point is data-race coverage (the montecarlo race soak, the pool
+# soak), not statistical power — the long cross-validation runs stay
+# in plain `make test`.
 race:
-	$(GO) test -race -short ./internal/metrics/... ./internal/router/... ./internal/montecarlo/... ./internal/packet/... ./internal/sim/...
+	$(GO) test -race -short ./internal/metrics/... ./internal/router/... ./internal/montecarlo/... ./internal/packet/... ./internal/sim/... \
+		./internal/jobs/... ./internal/store/... ./internal/telemetry/... ./internal/sweep/... ./internal/httpretry/... ./internal/server/...
 
 # Pool-safety semantics: under the poolcheck build tag released packets
 # are poisoned, so use-after-Release and double-Release panic instead of

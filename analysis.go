@@ -5,15 +5,13 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/perf"
-	"repro/internal/queueing"
-	"repro/internal/rbd"
 	"repro/internal/router"
 	"repro/internal/trace"
 )
 
 // This file extends the facade with the secondary analyses: model-reading
-// variants, sensitivity, the redundant-LC sparing baseline, reliability
-// block diagrams, queueing results, scenarios, and tracing.
+// variants, sensitivity, the redundant-LC sparing baseline, scenarios,
+// and tracing.
 
 // Scenario scripts fault/repair timelines against a Router.
 type Scenario = router.Scenario
@@ -103,30 +101,6 @@ func DRAReliabilityVariant(v ReliabilityModelVariant, p ModelParams) (*Model, er
 		return models.DRAReliability(p)
 	}
 }
-
-// RBD re-exports: block-diagram combinators for first-order checks.
-type (
-	// Block is a reliability structure.
-	Block = rbd.Block
-	// ExpBlock is a single exponential component.
-	ExpBlock = rbd.Exp
-	// SeriesBlock fails with its first child.
-	SeriesBlock = rbd.Series
-	// ParallelBlock survives while any child does.
-	ParallelBlock = rbd.Parallel
-	// KofNBlock survives while K children do.
-	KofNBlock = rbd.KofN
-)
-
-// Queueing re-exports: delay analysis for the EIB and fabric.
-type (
-	// MM1 is the Poisson/exponential single-server queue.
-	MM1 = queueing.MM1
-	// MD1 is the Poisson/deterministic queue (fixed slots/cells).
-	MD1 = queueing.MD1
-	// MMc is the c-server pool queue.
-	MMc = queueing.MMc
-)
 
 // LoadScenarioFile reads a JSON router+timeline description (see
 // internal/config for the schema) and returns the built router and its

@@ -62,22 +62,6 @@ func TestFacadeVariantsOrdered(t *testing.T) {
 	}
 }
 
-func TestFacadeRBDAndQueueing(t *testing.T) {
-	pool := ParallelBlock{ExpBlock{Lambda: 1.5e-5}, ExpBlock{Lambda: 1.5e-5}}
-	single := ExpBlock{Lambda: 1.5e-5}
-	if pool.Reliability(40000) <= single.Reliability(40000) {
-		t.Fatal("parallel block not better than single")
-	}
-	q := MM1{Lambda: 3, Mu: 5}
-	if q.MeanSojourn() != 0.5 {
-		t.Fatalf("MM1 sojourn = %g", q.MeanSojourn())
-	}
-	_ = SeriesBlock{ExpBlock{Lambda: 1}}
-	_ = KofNBlock{K: 1, Blocks: []Block{ExpBlock{Lambda: 1}}}
-	_ = MD1{Lambda: 1, Service: 0.1}
-	_ = MMc{Lambda: 1, Mu: 2, Servers: 2}
-}
-
 func TestFacadeDegradationCurve(t *testing.T) {
 	c := DegradationCurve(6, 0.15, 10e9)
 	if len(c) != 5 {

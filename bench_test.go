@@ -19,7 +19,6 @@ import (
 	"repro/internal/eib"
 	"repro/internal/fabric"
 	"repro/internal/linecard"
-	"repro/internal/markov"
 	"repro/internal/models"
 	"repro/internal/packet"
 	"repro/internal/perf"
@@ -513,7 +512,7 @@ func BenchmarkSolverComparison(b *testing.B) {
 	isF := func(l string) bool { return l == models.FailState }
 	b.Run("uniformization", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = c.TransientAt(p0, 40000, markov.TransientOptions{})
+			_ = c.TransientAt(p0, 40000)
 		}
 	})
 	b.Run("rk45", func(b *testing.B) {

@@ -23,9 +23,11 @@ import (
 // any realistic step spacing (same budget as router.Scenario).
 const settleEvents = 100000
 
+// traceCapacity bounds a campaign's timeline ring.
+const traceCapacity = 8192
+
 // Options configures a campaign run. The zero value runs with a fresh
-// invariant checker, a 8192-event trace ring, no metrics, no
-// cancellation, and no watchdog.
+// invariant checker, no metrics, no cancellation, and no watchdog.
 type Options struct {
 	// Ctx cancels the run between steps; the partial result is returned
 	// with the context's error.
@@ -36,8 +38,6 @@ type Options struct {
 	// Metrics, when non-nil, instruments the router, kernel, EIB, and
 	// checker.
 	Metrics *metrics.Registry
-	// TraceCapacity bounds the timeline ring (default 8192).
-	TraceCapacity int
 	// Watchdog aborts the run when a single step (including its settle
 	// drain) exceeds this wall-clock budget — a runaway-model fuse for
 	// unattended soaks. Zero disables it.
@@ -169,10 +169,6 @@ func Run(c Campaign, opt Options) (res *Result, err error) {
 	if chk == nil {
 		chk = invariant.New()
 	}
-	capacity := opt.TraceCapacity
-	if capacity <= 0 {
-		capacity = 8192
-	}
 
 	m := c.M
 	if m == 0 {
@@ -195,7 +191,7 @@ func Run(c Campaign, opt Options) (res *Result, err error) {
 			r.SetOfferedLoad(i, c.Load*r.LC(i).Capacity())
 		}
 	}
-	tr := trace.New(capacity)
+	tr := trace.New(traceCapacity)
 	r.SetTracer(tr)
 	chk.SetTrace(tr)
 	chk.Instrument(opt.Metrics)

@@ -106,10 +106,6 @@ func (l *Lifecycle) Exit(code int) int {
 	return code
 }
 
-// Close releases the signal registration without running flushers (for
-// early error paths that exit through Fatal/UsageError).
-func (l *Lifecycle) Close() { l.stop() }
-
 // Fatal prints the error under the command's name and exits 1. It does
 // NOT run OnExit flushers: fatal errors are malfunctions, and a flusher
 // that writes an artifact from half-initialized state does more harm

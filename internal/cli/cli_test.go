@@ -107,3 +107,7 @@ func TestSignalThenFlushThenExitCode(t *testing.T) {
 		t.Fatalf("no interruption notice on stderr: %q", buf.String())
 	}
 }
+
+// Close releases the signal registration without running flushers (for
+// early error paths that exit through Fatal/UsageError).
+func (l *Lifecycle) Close() { l.stop() }

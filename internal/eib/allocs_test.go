@@ -30,47 +30,6 @@ func TestSlotLoopAllocFree(t *testing.T) {
 	}
 }
 
-func TestKernelDrivenSlotBatchAllocFree(t *testing.T) {
-	skipUnderRace(t)
-	k := sim.NewKernel()
-	s := NewSlotSim([]int{0, 1})
-	s.Open(0, 0.6)
-	s.Open(1, 0.6)
-	stop := s.Drive(k, 1e-6, 32)
-	defer stop()
-	for i := 0; i < 64; i++ { // warm the event free list
-		k.Step()
-	}
-	before := s.Slots()
-	if n := testing.AllocsPerRun(100, func() { k.Step() }); n != 0 {
-		t.Fatalf("kernel-driven slot batch allocates %v per pop, want 0", n)
-	}
-	if s.Slots() == before {
-		t.Fatal("Drive stopped ticking")
-	}
-}
-
-// TestKernelDrivenSlotBatchAdvances checks Drive's accounting: one
-// scheduler pop advances exactly `batch` slots, and stop() halts the loop.
-func TestKernelDrivenSlotBatchAdvances(t *testing.T) {
-	k := sim.NewKernel()
-	s := NewSlotSim([]int{0})
-	s.Open(0, 0.5)
-	stop := s.Drive(k, 2.0, 16)
-	k.Step()
-	if got := s.Slots(); got != 16 {
-		t.Fatalf("one tick advanced %d slots, want 16", got)
-	}
-	if now := k.Now(); now != 2.0*16 {
-		t.Fatalf("one tick advanced clock to %v, want %v", now, 2.0*16)
-	}
-	stop()
-	k.Run(10)
-	if got := s.Slots(); got != 16 {
-		t.Fatalf("stopped Drive still ran: %d slots", got)
-	}
-}
-
 func TestBroadcastSteadyStateAllocFree(t *testing.T) {
 	skipUnderRace(t)
 	k := sim.NewKernel()

@@ -34,12 +34,6 @@ type CounterSet struct {
 // ID returns the controller's LP id (0 = no LP).
 func (c *CounterSet) ID() int { return c.ctrID }
 
-// Beta returns this controller's view of the number of active LPs.
-func (c *CounterSet) Beta() int { return c.ctrBeta }
-
-// Rotation returns this controller's view of the rotation counter.
-func (c *CounterSet) Rotation() int { return c.ctrR }
-
 // MyTurn reports whether this controller's LP transmits now.
 func (c *CounterSet) MyTurn() bool { return c.ctrID != 0 && c.ctrID == c.ctrR }
 

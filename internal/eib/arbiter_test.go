@@ -221,3 +221,9 @@ func BenchmarkArbiterRotation(b *testing.B) {
 		a.CompleteTurn()
 	}
 }
+
+// Beta returns this controller's view of the number of active LPs.
+func (c *CounterSet) Beta() int { return c.ctrBeta }
+
+// Rotation returns this controller's view of the rotation counter.
+func (c *CounterSet) Rotation() int { return c.ctrR }

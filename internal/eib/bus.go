@@ -372,39 +372,3 @@ func (b *Bus) TotalAsked() float64 {
 	}
 	return s
 }
-
-// Promised returns B_prom for the LP, per the paper's formula: the full
-// ask while ΣB_LC ≤ B_BUS, and the proportional share
-// (B_LC / B_LCT) · B_BUS under overload — the scale-back that forces
-// requesting LCs to drop packets.
-func (b *Bus) Promised(id int) (float64, error) {
-	if b.fail {
-		return 0, ErrBusDown
-	}
-	lp, ok := b.lps[id]
-	if !ok {
-		return 0, fmt.Errorf("eib: unknown LP %d", id)
-	}
-	total := b.TotalAsked()
-	if total <= b.cfg.DataCapacity {
-		return lp.Asked, nil
-	}
-	return lp.Asked / total * b.cfg.DataCapacity, nil
-}
-
-// PromisedAll returns the promise for every open LP keyed by LP id.
-func (b *Bus) PromisedAll() map[int]float64 {
-	out := make(map[int]float64, len(b.lps))
-	if b.fail {
-		return out
-	}
-	total := b.TotalAsked()
-	scale := 1.0
-	if total > b.cfg.DataCapacity {
-		scale = b.cfg.DataCapacity / total
-	}
-	for id, lp := range b.lps {
-		out[id] = lp.Asked * scale
-	}
-	return out
-}

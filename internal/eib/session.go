@@ -42,9 +42,6 @@ func NewController(bus *Bus, lc int) *Controller {
 	return c
 }
 
-// LC returns the linecard index of the controller.
-func (c *Controller) LC() int { return c.lc }
-
 // Detach removes the controller from the bus (bus-controller failure).
 func (c *Controller) Detach() { c.bus.Detach(c.lc) }
 

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/metrics"
-	"repro/internal/sim"
 )
 
 // SlotSim is a slot-accurate simulation of the EIB data lines driven by
@@ -196,32 +195,6 @@ func (s *SlotSim) Run(n int) {
 	}
 }
 
-// Drive attaches the slot simulation to a kernel: every scheduled tick
-// processes a whole batch of data-line slots, so the TDM cadence costs one
-// scheduler pop per batch instead of one per slot. slotTime is the duration
-// of a single slot; batch slots elapse per event. Driving stops after the
-// returned stop function is called (the pending tick still fires but does
-// no work and does not re-arm).
-func (s *SlotSim) Drive(k *sim.Kernel, slotTime float64, batch int) (stop func()) {
-	if slotTime <= 0 {
-		panic(fmt.Sprintf("eib: slot time %g must be positive", slotTime))
-	}
-	if batch <= 0 {
-		batch = 1
-	}
-	stopped := false
-	var tick func()
-	tick = func() {
-		if stopped {
-			return
-		}
-		s.Run(batch)
-		k.After(sim.Time(slotTime*float64(batch)), tick)
-	}
-	k.After(sim.Time(slotTime*float64(batch)), tick)
-	return func() { stopped = true }
-}
-
 // Throughput returns each LP's achieved rate (payload units per slot) over
 // the run so far, keyed by LC.
 func (s *SlotSim) Throughput() map[int]float64 {
@@ -242,9 +215,6 @@ func (s *SlotSim) DropRate(lc int) float64 {
 	}
 	return f.dropped / float64(s.slot)
 }
-
-// Slots returns the number of elapsed slots.
-func (s *SlotSim) Slots() int { return s.slot }
 
 // FlowLCs returns the LCs with open flows in ascending order.
 func (s *SlotSim) FlowLCs() []int {

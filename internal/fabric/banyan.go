@@ -41,22 +41,10 @@ func NewBanyan(n int) (*Banyan, error) {
 	return &Banyan{n: n, stages: stages, failed: f}, nil
 }
 
-// Ports returns n.
-func (b *Banyan) Ports() int { return b.n }
-
-// Stages returns log2(n).
-func (b *Banyan) Stages() int { return b.stages }
-
 // FailElement marks one 2×2 switching element failed.
 func (b *Banyan) FailElement(stage, elem int) {
 	b.checkElem(stage, elem)
 	b.failed[stage][elem] = true
-}
-
-// RepairElement restores one element.
-func (b *Banyan) RepairElement(stage, elem int) {
-	b.checkElem(stage, elem)
-	b.failed[stage][elem] = false
 }
 
 func (b *Banyan) checkElem(stage, elem int) {

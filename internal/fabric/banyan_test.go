@@ -69,7 +69,11 @@ func TestBanyanInternalBlockingExists(t *testing.T) {
 	blockedPerms := 0
 	const trials = 200
 	for tr := 0; tr < trials; tr++ {
-		perm := rng.Perm(8)
+		perm := []int{0, 1, 2, 3, 4, 5, 6, 7}
+		for i := len(perm) - 1; i > 0; i-- { // Fisher–Yates
+			j := rng.Intn(i + 1)
+			perm[i], perm[j] = perm[j], perm[i]
+		}
 		var cells []packet.Cell
 		for i, d := range perm {
 			cells = append(cells, packet.Cell{SrcLC: i, DstLC: d, Total: 1, Last: true})
@@ -143,4 +147,16 @@ func TestBanyanPanics(t *testing.T) {
 			f()
 		}()
 	}
+}
+
+// Ports returns n.
+func (b *Banyan) Ports() int { return b.n }
+
+// Stages returns log2(n).
+func (b *Banyan) Stages() int { return b.stages }
+
+// RepairElement restores one element.
+func (b *Banyan) RepairElement(stage, elem int) {
+	b.checkElem(stage, elem)
+	b.failed[stage][elem] = false
 }

@@ -51,9 +51,6 @@ func NewVOQSwitch(n int) *VOQSwitch {
 	return s
 }
 
-// Ports returns n.
-func (s *VOQSwitch) Ports() int { return s.n }
-
 // Enqueue accepts a cell into its input's VOQ.
 func (s *VOQSwitch) Enqueue(c packet.Cell) error {
 	if c.SrcLC < 0 || c.SrcLC >= s.n || c.DstLC < 0 || c.DstLC >= s.n {
@@ -62,20 +59,6 @@ func (s *VOQSwitch) Enqueue(c packet.Cell) error {
 	s.voq[c.SrcLC][c.DstLC] = append(s.voq[c.SrcLC][c.DstLC], c)
 	s.Enqueued++
 	return nil
-}
-
-// QueueLen returns the occupancy of voq[in][out].
-func (s *VOQSwitch) QueueLen(in, out int) int { return len(s.voq[in][out]) }
-
-// Backlog returns the total queued cells.
-func (s *VOQSwitch) Backlog() int {
-	total := 0
-	for i := range s.voq {
-		for j := range s.voq[i] {
-			total += len(s.voq[i][j])
-		}
-	}
-	return total
 }
 
 // Step runs one cell slot: a single-iteration request/grant/accept
@@ -158,15 +141,6 @@ func (s *FIFOSwitch) Enqueue(c packet.Cell) error {
 	s.fifo[c.SrcLC] = append(s.fifo[c.SrcLC], c)
 	s.Enqueued++
 	return nil
-}
-
-// Backlog returns the total queued cells.
-func (s *FIFOSwitch) Backlog() int {
-	total := 0
-	for i := range s.fifo {
-		total += len(s.fifo[i])
-	}
-	return total
 }
 
 // Step runs one slot: every output picks round-robin among the inputs

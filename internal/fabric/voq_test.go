@@ -207,3 +207,23 @@ func BenchmarkVOQStep(b *testing.B) {
 		s.Enqueue(cell(rng.Intn(n), rng.Intn(n)))
 	}
 }
+
+// Backlog returns the total queued cells.
+func (s *VOQSwitch) Backlog() int {
+	total := 0
+	for i := range s.voq {
+		for j := range s.voq[i] {
+			total += len(s.voq[i][j])
+		}
+	}
+	return total
+}
+
+// Backlog returns the total queued cells.
+func (s *FIFOSwitch) Backlog() int {
+	total := 0
+	for i := range s.fifo {
+		total += len(s.fifo[i])
+	}
+	return total
+}

@@ -76,7 +76,6 @@ type Backend interface {
 	ClaimExternal(worker string) (jobs.ExternalJob, bool)
 	CompleteExternal(id string, result json.RawMessage) error
 	FailExternal(id, msg string) error
-	RequeueExternal(id, note string) error
 	JobActive(id string) bool
 	PublishExternal(id, note string)
 	SaveExternalCheckpoint(id string, data []byte) error

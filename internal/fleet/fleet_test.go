@@ -20,7 +20,6 @@ type fakeBackend struct {
 	active      map[string]bool
 	completed   map[string]json.RawMessage
 	failed      map[string]string
-	requeued    map[string]int
 	checkpoints map[string][]byte
 	notes       map[string][]string
 }
@@ -30,7 +29,6 @@ func newFakeBackend() *fakeBackend {
 		active:      make(map[string]bool),
 		completed:   make(map[string]json.RawMessage),
 		failed:      make(map[string]string),
-		requeued:    make(map[string]int),
 		checkpoints: make(map[string][]byte),
 		notes:       make(map[string][]string),
 	}
@@ -73,13 +71,6 @@ func (b *fakeBackend) FailExternal(id, msg string) error {
 	defer b.mu.Unlock()
 	b.failed[id] = msg
 	b.active[id] = false
-	return nil
-}
-
-func (b *fakeBackend) RequeueExternal(id, note string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.requeued[id]++
 	return nil
 }
 

@@ -68,10 +68,6 @@ type WorkerOptions struct {
 	Execute ExecuteFunc
 	// StateDir holds worker-local checkpoint scratch; "" uses a temp dir.
 	StateDir string
-	// Client is the HTTP transport; nil uses a 30s-timeout default.
-	Client *http.Client
-	// Retry tunes the backoff policy of every coordinator call.
-	Retry httpretry.Options
 	// Poll overrides the claim-poll interval (default: the heartbeat
 	// the coordinator advertises).
 	Poll time.Duration
@@ -91,11 +87,8 @@ func NewWorker(opt WorkerOptions) (*Worker, error) {
 	if opt.ID == "" || opt.Coordinator == "" || opt.Execute == nil {
 		return nil, fmt.Errorf("fleet: worker needs ID, Coordinator, and Execute")
 	}
-	hc := opt.Client
-	if hc == nil {
-		hc = &http.Client{Timeout: 30 * time.Second}
-	}
-	return &Worker{opt: opt, client: &httpretry.Client{HC: hc, Opt: opt.Retry}}, nil
+	hc := &http.Client{Timeout: 30 * time.Second}
+	return &Worker{opt: opt, client: &httpretry.Client{HC: hc}}, nil
 }
 
 func (w *Worker) logf(format string, args ...any) {

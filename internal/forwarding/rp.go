@@ -1,7 +1,5 @@
 package forwarding
 
-import "fmt"
-
 // Table is an immutable routing-table snapshot as held by a linecard's
 // LFE. Lookups are safe for concurrent use because the table never
 // changes; the RP replaces whole snapshots.
@@ -9,9 +7,6 @@ type Table struct {
 	version uint64
 	trie    *Trie
 }
-
-// Version returns the RP-assigned version of the snapshot.
-func (t *Table) Version() uint64 { return t.version }
 
 // Len returns the number of routes.
 func (t *Table) Len() int { return t.trie.Len() }
@@ -45,9 +40,6 @@ func NewRouteProcessor() *RouteProcessor { return &RouteProcessor{} }
 // dissemination of real RPs.
 func (rp *RouteProcessor) Announce(r Route) { rp.master.Insert(r) }
 
-// Withdraw removes a route, reporting whether it existed.
-func (rp *RouteProcessor) Withdraw(p Prefix) bool { return rp.master.Remove(p) }
-
 // Subscribe registers an LFE callback invoked with every distributed
 // snapshot, and immediately delivers the current table so late joiners are
 // not left empty.
@@ -73,13 +65,4 @@ func (rp *RouteProcessor) snapshot() *Table {
 		clone.Insert(r)
 	}
 	return &Table{version: rp.version, trie: clone}
-}
-
-// MustLookup is a test helper that panics when the address has no route.
-func (t *Table) MustLookup(addr uint32) int {
-	lc, ok := t.Lookup(addr)
-	if !ok {
-		panic(fmt.Sprintf("forwarding: no route for %08x", addr))
-	}
-	return lc
 }

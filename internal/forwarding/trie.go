@@ -32,11 +32,6 @@ func Mask(length int) uint32 {
 	return ^uint32(0) << (32 - uint(length))
 }
 
-// Contains reports whether the address falls inside the prefix.
-func (p Prefix) Contains(addr uint32) bool {
-	return addr&Mask(p.Len) == p.Addr
-}
-
 // String renders the prefix in dotted-quad/len form.
 func (p Prefix) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d/%d", byte(p.Addr>>24), byte(p.Addr>>16), byte(p.Addr>>8), byte(p.Addr), p.Len)
@@ -83,26 +78,6 @@ func (t *Trie) Insert(r Route) {
 	rc := r
 	rc.Prefix = MakePrefix(r.Prefix.Addr, r.Prefix.Len)
 	node.route = &rc
-}
-
-// Remove deletes the route for the exact prefix, reporting whether it
-// existed. Interior nodes are left in place; the trie is rebuilt on RP
-// redistribution, so slow leak-free deletion is unnecessary here.
-func (t *Trie) Remove(p Prefix) bool {
-	node := &t.root
-	for depth := 0; depth < p.Len; depth++ {
-		bit := (p.Addr >> (31 - uint(depth))) & 1
-		if node.child[bit] == nil {
-			return false
-		}
-		node = node.child[bit]
-	}
-	if node.route == nil {
-		return false
-	}
-	node.route = nil
-	t.n--
-	return true
 }
 
 // Lookup returns the longest-prefix-match route for addr.

@@ -43,9 +43,6 @@ type Options struct {
 	// Sleep waits between attempts; nil sleeps on a timer honoring ctx.
 	// Injectable for tests.
 	Sleep func(ctx context.Context, d time.Duration) error
-	// RetryStatus decides which HTTP statuses to retry; nil retries
-	// 429 and 503.
-	RetryStatus func(code int) bool
 }
 
 func (o Options) maxAttempts() int { return defInt(o.MaxAttempts, 6) }
@@ -70,7 +67,8 @@ type Client struct {
 	Opt Options
 }
 
-// retryable is the default status policy.
+// retryable reports whether a status is admission pushback or drain,
+// the two a restarting coordinator answers with.
 func retryable(code int) bool {
 	return code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable
 }
@@ -135,10 +133,6 @@ func (c *Client) Do(req *http.Request) (*http.Response, error) {
 	if hc == nil {
 		hc = http.DefaultClient
 	}
-	status := c.Opt.RetryStatus
-	if status == nil {
-		status = retryable
-	}
 	ctx := req.Context()
 	attempts := c.Opt.maxAttempts()
 	var lastErr error
@@ -153,7 +147,7 @@ func (c *Client) Do(req *http.Request) (*http.Response, error) {
 			r.Body = body
 		}
 		resp, err := hc.Do(r)
-		if err == nil && !status(resp.StatusCode) {
+		if err == nil && !retryable(resp.StatusCode) {
 			return resp, nil
 		}
 		if err != nil {
@@ -192,15 +186,6 @@ func (c *Client) Post(ctx context.Context, url, contentType string, body []byte)
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
-	}
-	return c.Do(req)
-}
-
-// Get is the GET counterpart.
-func (c *Client) Get(ctx context.Context, url string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
 	}
 	return c.Do(req)
 }

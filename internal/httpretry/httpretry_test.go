@@ -179,3 +179,12 @@ func TestPostBodyReplayedViaGetBody(t *testing.T) {
 		t.Fatal("strings.Reader bodies must set GetBody for retry replay")
 	}
 }
+
+// Get is the GET counterpart of Post, for the tests.
+func (c *Client) Get(ctx context.Context, url string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	return c.Do(req)
+}

@@ -141,20 +141,6 @@ func (c *Checker) Sweep() {
 	}
 }
 
-// Check evaluates one ad-hoc condition at a hot-path funnel point: when
-// ok is false a violation named name is recorded with the detail built
-// lazily by the caller (pass the already-formatted string; the nil
-// branch means disabled runs never build it). Safe on a nil receiver.
-func (c *Checker) Check(name string, ok bool, detail string) {
-	if c == nil {
-		return
-	}
-	c.mChecks.Inc()
-	if !ok {
-		c.report(name, detail)
-	}
-}
-
 // Report records a violation directly, for call sites that detect the
 // defect themselves. Safe on a nil receiver.
 func (c *Checker) Report(name, detail string) {

@@ -18,7 +18,6 @@ func TestNilCheckerIsHarmless(t *testing.T) {
 	c.Instrument(metrics.NewRegistry())
 	c.Register("x", func() string { return "boom" })
 	c.Sweep()
-	c.Check("x", false, "boom")
 	c.Report("x", "boom")
 	if c.Violations() != nil || c.Total() != 0 || c.Err() != nil {
 		t.Fatal("nil checker must observe nothing")
@@ -53,15 +52,6 @@ func TestSweepAndReport(t *testing.T) {
 	}
 	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "gate open") {
 		t.Fatalf("Err = %v", err)
-	}
-}
-
-func TestCheckInline(t *testing.T) {
-	c := New()
-	c.Check("ok", true, "unused")
-	c.Check("bad", false, "details here")
-	if c.Total() != 1 || c.Violations()[0].Check != "bad" {
-		t.Fatalf("violations = %v", c.Violations())
 	}
 }
 

@@ -146,32 +146,6 @@ func (m *Manager) settleExternal(j *job, final State, note string) {
 	m.dispatch()
 }
 
-// RequeueExternal returns an expired lease's job to the queue. The job
-// keeps its admission slot and submit order (so requeue does not lose
-// its FIFO position) and its requeue count increments.
-func (m *Manager) RequeueExternal(id, note string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok {
-		return ErrNotFound
-	}
-	if j.state != StateLeased {
-		return fmt.Errorf("%w: %s is %s", ErrNotLeased, id, j.state)
-	}
-	m.running[j.kind]--
-	decTenantLocked(m.runningT, j.tenant)
-	m.runningG.Add(-1)
-	j.state = StateQueued
-	j.worker = ""
-	j.requeues++
-	m.queue.push(j)
-	m.queuedT[j.tenant]++
-	m.queueDepth.Set(float64(m.queue.len()))
-	m.publishLocked(j, note)
-	return nil
-}
-
 // JobActive reports whether the job is still leased — the coordinator's
 // check that a renewing or completing worker is not racing a cancel.
 func (m *Manager) JobActive(id string) bool {
@@ -214,19 +188,6 @@ func (m *Manager) SaveExternalCheckpoint(id string, data []byte) error {
 		return err
 	}
 	return os.Rename(name, path)
-}
-
-// ExternalCheckpoint reads the job's persisted checkpoint (nil if none).
-func (m *Manager) ExternalCheckpoint(id string) []byte {
-	path := m.checkpointPath(id)
-	if path == "" {
-		return nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	return data
 }
 
 // --- state-dir write probe ---

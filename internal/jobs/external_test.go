@@ -120,30 +120,6 @@ func TestClaimExternalHonorsClassLimits(t *testing.T) {
 	}
 }
 
-func TestRequeueExternalKeepsFIFOPosition(t *testing.T) {
-	m := externalManager(t, Options{})
-	first, _ := m.Submit(mcSpec(1, 0))
-	m.Submit(mcSpec(2, 0))
-
-	ej, _ := m.ClaimExternal("w1")
-	if ej.ID != first.ID {
-		t.Fatalf("claim %v", ej.ID)
-	}
-	if err := m.RequeueExternal(first.ID, "lease expired"); err != nil {
-		t.Fatal(err)
-	}
-	snap, _ := m.Get(first.ID)
-	if snap.State != StateQueued || snap.Requeues != 1 {
-		t.Fatalf("requeued snapshot %+v", snap)
-	}
-	// The requeued job kept its original seq: it claims before the
-	// younger job.
-	ej2, _ := m.ClaimExternal("w2")
-	if ej2.ID != first.ID {
-		t.Fatalf("requeue lost FIFO position: claimed %v", ej2.ID)
-	}
-}
-
 func TestSettleRaceWithCancel(t *testing.T) {
 	m := externalManager(t, Options{})
 	snap, _ := m.Submit(mcSpec(1, 0))
@@ -160,9 +136,6 @@ func TestSettleRaceWithCancel(t *testing.T) {
 	if err := m.CompleteExternal(snap.ID, json.RawMessage(`{}`)); err == nil {
 		t.Fatal("complete after cancel should fail")
 	}
-	if err := m.RequeueExternal(snap.ID, "x"); err == nil {
-		t.Fatal("requeue after cancel should fail")
-	}
 	if got, _ := m.Get(snap.ID); got.State != StateCanceled {
 		t.Fatalf("state %s", got.State)
 	}
@@ -178,16 +151,17 @@ func TestExternalCheckpointRoundTrip(t *testing.T) {
 	if err := m.SaveExternalCheckpoint(snap.ID, []byte(`{"reps_done":9}`)); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.ExternalCheckpoint(snap.ID); string(got) != `{"reps_done":9}` {
-		t.Fatalf("checkpoint %q", got)
-	}
-	if err := m.RequeueExternal(snap.ID, "lease expired"); err != nil {
+	// A restarted coordinator requeues the job and its next claim hands
+	// the persisted checkpoint back.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := m.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// Next claim hands the persisted checkpoint back.
+	m = externalManager(t, Options{Dir: dir})
 	ej, ok := m.ClaimExternal("w2")
-	if !ok || string(ej.Checkpoint) != `{"reps_done":9}` {
-		t.Fatalf("reclaim checkpoint %q (ok=%v)", ej.Checkpoint, ok)
+	if !ok || ej.ID != snap.ID || string(ej.Checkpoint) != `{"reps_done":9}` {
+		t.Fatalf("reclaim %v checkpoint %q (ok=%v)", ej.ID, ej.Checkpoint, ok)
 	}
 	// Completion removes the checkpoint alongside the pending spec.
 	if err := m.CompleteExternal(snap.ID, json.RawMessage(`{}`)); err != nil {

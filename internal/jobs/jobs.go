@@ -17,6 +17,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"slices"
 	"time"
 
 	"repro/internal/config"
@@ -29,7 +30,6 @@ import (
 //
 //	queued → running → done | failed | canceled
 //	queued → leased → done | failed | canceled  (fleet coordinator mode)
-//	leased → queued                         (lease expired; requeued)
 //	queued | running | leased → interrupted (drain/crash; requeued on restart)
 //	interrupted → queued                    (restart recovery)
 //
@@ -37,7 +37,8 @@ import (
 // delegated to a fleet worker under a time-bounded lease: the job holds
 // its admission slot and class-limit slot exactly like a running job,
 // but the process doing the work may die — the coordinator then expires
-// the lease and the job re-enters the queue.
+// the lease and re-leases the work from its own pending list, while the
+// job stays leased here.
 type State string
 
 // The job states.
@@ -116,7 +117,8 @@ type Snapshot struct {
 	ID       string `json:"id"`
 	Kind     string `json:"kind"`
 	Priority int    `json:"priority"`
-	// Tenant names the submitting tenant (empty for anonymous/default
+	// Tenant names the first submitting tenant, the one charged for the
+	// job and allowed to cancel it (empty for anonymous/default
 	// submissions, which keeps single-tenant output identical to the
 	// pre-tenancy service).
 	Tenant string `json:"tenant,omitempty"`
@@ -133,9 +135,6 @@ type Snapshot struct {
 	// Worker names the fleet worker currently holding the job's lease
 	// (coordinator mode only).
 	Worker string `json:"worker,omitempty"`
-	// Requeues counts lease expirations that sent the job back to the
-	// queue (coordinator mode only).
-	Requeues int `json:"requeues,omitempty"`
 }
 
 // job is the manager's internal record.
@@ -144,8 +143,12 @@ type job struct {
 	spec     config.Spec
 	kind     string
 	priority int
-	tenant   string // submitting tenant ("" = anonymous/default)
-	seq      uint64 // submit order; FIFO tiebreak within a priority
+	tenant   string // first submitting tenant ("" = anonymous/default)
+	// cosubmitters are the other tenants whose submits this record
+	// served (cache hits, attaches); they may read the job, and only
+	// tenant is charged for it and may cancel it.
+	cosubmitters []string
+	seq          uint64 // submit order; FIFO tiebreak within a priority
 
 	state State
 	// cancelRequested records a Cancel that arrived while the job was
@@ -155,7 +158,6 @@ type job struct {
 	cached          bool
 	resumed         bool
 	worker          string // lease holder (coordinator mode)
-	requeues        int    // lease expirations → requeue count
 	submitted       time.Time
 	started         time.Time
 	finished        time.Time
@@ -164,6 +166,20 @@ type job struct {
 	rec    *trace.Recorder
 	cancel context.CancelCauseFunc
 	done   chan struct{} // closed on terminal or interrupted
+}
+
+// submittedBy reports whether tenant submitted the job's spec. Caller
+// holds mu.
+func (j *job) submittedBy(tenant string) bool {
+	return j.tenant == tenant || slices.Contains(j.cosubmitters, tenant)
+}
+
+// addSubmitter records a later submit of the job's spec by tenant.
+// Caller holds mu.
+func (j *job) addSubmitter(tenant string) {
+	if !j.submittedBy(tenant) {
+		j.cosubmitters = append(j.cosubmitters, tenant)
+	}
 }
 
 func (j *job) snapshot() Snapshot {
@@ -178,7 +194,6 @@ func (j *job) snapshot() Snapshot {
 		Resumed:     j.resumed,
 		SubmittedAt: j.submitted,
 		Worker:      j.worker,
-		Requeues:    j.requeues,
 	}
 	if !j.started.IsZero() {
 		t := j.started

@@ -59,11 +59,18 @@ func instantRunner(calls *atomic.Int64) Runner {
 
 func waitDone(t *testing.T, m *Manager, id string) Snapshot {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	snap, err := m.Wait(ctx, id)
+	j := m.get(id)
+	if j == nil {
+		t.Fatalf("waitDone(%s): %v", id, ErrNotFound)
+	}
+	select {
+	case <-j.done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("waitDone(%s): job did not come to rest", id)
+	}
+	snap, err := m.Get(id)
 	if err != nil {
-		t.Fatalf("Wait(%s): %v", id, err)
+		t.Fatal(err)
 	}
 	return snap
 }
@@ -541,6 +548,55 @@ func TestDrainAndRecover(t *testing.T) {
 	m3 := newManager(t, Options{Dir: dir, Store: st, Runners: map[string]Runner{config.KindReliability: finishing}})
 	if got := m3.List(); len(got) != 0 {
 		t.Fatalf("third boot requeued %d jobs, want 0", len(got))
+	}
+}
+
+// TestRecoverRemovesSatisfiedPendingFiles: a crash after a job's result
+// landed in the store but before its cleanup leaves its pending spec,
+// owner sidecar and checkpoint behind. Recovery serves the job as a
+// cache hit for its owner and removes all three files, so no later
+// boot requeues it.
+func TestRecoverRemovesSatisfiedPendingFiles(t *testing.T) {
+	dir := t.TempDir()
+	st := newStore(t)
+	spec := mcSpec(11, 0)
+	id, err := spec.JobID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(id, []byte(`{"ok": true}`)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{
+		filepath.Join(dir, "pending", id+".json"):     data,
+		filepath.Join(dir, "pending", id+".owner"):    []byte("acme\n"),
+		filepath.Join(dir, "checkpoints", id+".ckpt"): []byte(`{"reps_done": 3}`),
+	}
+	for path, b := range files {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var calls atomic.Int64
+	m := newManager(t, Options{Dir: dir, Store: st, Runners: map[string]Runner{config.KindReliability: instantRunner(&calls)}})
+	snap, err := m.Get(id)
+	if err != nil || snap.State != StateDone || !snap.Cached || snap.Tenant != "acme" {
+		t.Fatalf("recovered job %+v, %v; want a cache hit owned by acme", snap, err)
+	}
+	if calls.Load() != 0 {
+		t.Fatal("recovery reran a job whose result was stored")
+	}
+	for path := range files {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s survived recovery: %v", path, err)
+		}
 	}
 }
 

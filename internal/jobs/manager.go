@@ -39,15 +39,13 @@ type Options struct {
 	ClassLimits map[string]int
 	// Metrics, when non-nil, receives the jobs_* service families.
 	Metrics *metrics.Registry
-	// TraceCapacity bounds each job's private trace ring (default 4096).
-	TraceCapacity int
 	// Telemetry, when non-nil, receives the windowed samples running
 	// jobs push through RunContext.Telemetry.
 	Telemetry *telemetry.Hub
 	// External switches the manager to fleet-coordinator mode: the
 	// local execution pool never claims queued jobs; instead the fleet
 	// coordinator leases them out through ClaimExternal and settles
-	// them through CompleteExternal/FailExternal/RequeueExternal.
+	// them through CompleteExternal/FailExternal.
 	// Admission, dedup, caching, persistence, and recovery are
 	// unchanged — jobs queue even with zero workers live.
 	External bool
@@ -71,7 +69,7 @@ type Options struct {
 
 const (
 	defaultMaxQueued  = 128
-	defaultTraceCap   = 4096
+	traceCapacity     = 4096 // events in each job's private trace ring
 	maxTerminalJobs   = 4096 // completed-job records kept for status queries
 	eventBuffer       = 64   // per-subscriber event buffer before drops
 	pendingDirName    = "pending"
@@ -124,9 +122,6 @@ func NewManager(opt Options) (*Manager, error) {
 	}
 	if opt.MaxQueued <= 0 {
 		opt.MaxQueued = defaultMaxQueued
-	}
-	if opt.TraceCapacity <= 0 {
-		opt.TraceCapacity = defaultTraceCap
 	}
 	reg := opt.Metrics
 	m := &Manager{
@@ -249,6 +244,7 @@ func (m *Manager) SubmitAs(tenant string, spec config.Spec) (Snapshot, error) {
 	m.mu.Lock()
 	if j, ok := m.jobs[id]; ok && !j.state.Terminal() {
 		// Identical spec already queued or running: attach, don't rerun.
+		j.addSubmitter(tenant)
 		snap := j.snapshot()
 		m.mu.Unlock()
 		return snap, nil
@@ -256,13 +252,17 @@ func (m *Manager) SubmitAs(tenant string, spec config.Spec) (Snapshot, error) {
 	if m.opt.Store.Has(id) {
 		// Content-addressed hit: the computation already happened —
 		// possibly in a previous process. Serve the stored result.
-		j := m.cachedJob(id, spec)
+		j := m.cachedJob(id, spec, tenant)
 		snap := j.snapshot()
 		m.cacheHits.Inc()
+		recovering := m.recovering
 		m.mu.Unlock()
 		// A pending spec from a crashed run whose result did land is
-		// satisfied; don't leave it to requeue again.
-		m.unpersist(id)
+		// satisfied; don't leave it to requeue again. Only recovery
+		// meets one: a live hit has no files to remove.
+		if recovering {
+			m.unpersist(id)
+		}
 		return snap, nil
 	}
 	if m.draining {
@@ -295,7 +295,7 @@ func (m *Manager) SubmitAs(tenant string, spec config.Spec) (Snapshot, error) {
 		state:     StateQueued,
 		submitted: time.Now(),
 		reg:       metrics.NewRegistry(),
-		rec:       trace.New(m.opt.TraceCapacity),
+		rec:       trace.New(traceCapacity),
 		done:      make(chan struct{}),
 	}
 	m.jobs[id] = j
@@ -351,26 +351,15 @@ func (m *Manager) ApplyLimits(maxQueued int, classLimits map[string]int) {
 	m.dispatch()
 }
 
-// Limits reports the live admission bound and class limits (the
-// config-show path).
-func (m *Manager) Limits() (maxQueued int, classLimits map[string]int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]int, len(m.opt.ClassLimits))
-	for k, v := range m.opt.ClassLimits {
-		out[k] = v
-	}
-	return m.opt.MaxQueued, out
-}
-
-// cachedJob materializes a done-from-cache job record. Caller holds mu.
-func (m *Manager) cachedJob(id string, spec config.Spec) *job {
+// cachedJob materializes a done-from-cache job record for a submit by
+// tenant. Caller holds mu.
+func (m *Manager) cachedJob(id string, spec config.Spec, tenant string) *job {
 	j, ok := m.jobs[id]
 	if !ok {
 		m.seq++
 		j = &job{
 			id: id, spec: spec, kind: spec.Kind, priority: spec.Priority,
-			seq: m.seq, submitted: time.Now(),
+			tenant: tenant, seq: m.seq, submitted: time.Now(),
 			reg: metrics.NewRegistry(), rec: trace.New(1),
 			done: make(chan struct{}),
 		}
@@ -381,6 +370,7 @@ func (m *Manager) cachedJob(id string, spec config.Spec) *job {
 		j.state = StateDone
 		j.finished = time.Now()
 	}
+	j.addSubmitter(tenant)
 	j.cached = true
 	m.publishLocked(j, "cache hit")
 	return j
@@ -637,6 +627,16 @@ func (m *Manager) Get(id string) (Snapshot, error) {
 	return j.snapshot(), nil
 }
 
+// SubmittedBy reports whether tenant submitted the spec of job id: as
+// its first submitter, or later through a submit the same job record
+// served (a cache hit or an attach to the queued or running job).
+func (m *Manager) SubmittedBy(id, tenant string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j, ok := m.jobs[id]
+	return ok && j.submittedBy(tenant)
+}
+
 func (m *Manager) get(id string) *job {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -663,21 +663,6 @@ func (m *Manager) Trace(id string) *trace.Recorder {
 		return j.rec
 	}
 	return nil
-}
-
-// Wait blocks until the job reaches a resting state (terminal or
-// interrupted) or ctx expires.
-func (m *Manager) Wait(ctx context.Context, id string) (Snapshot, error) {
-	j := m.get(id)
-	if j == nil {
-		return Snapshot{}, ErrNotFound
-	}
-	select {
-	case <-j.done:
-		return m.Get(id)
-	case <-ctx.Done():
-		return Snapshot{}, ctx.Err()
-	}
 }
 
 // List returns every known job, newest submission first.

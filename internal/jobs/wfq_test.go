@@ -351,3 +351,14 @@ func TestApplyLimitsLive(t *testing.T) {
 		waitDone(t, m, id)
 	}
 }
+
+// Limits reports the live admission bound and class limits.
+func (m *Manager) Limits() (maxQueued int, classLimits map[string]int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make(map[string]int, len(m.opt.ClassLimits))
+	for k, v := range m.opt.ClassLimits {
+		out[k] = v
+	}
+	return m.opt.MaxQueued, out
+}

@@ -23,12 +23,6 @@ func NewCSR(rows, cols int, entries []Triplet) *CSR {
 	return newCSR(rows, cols, entries, false)
 }
 
-// NewCSRCompact builds a CSR matrix from triplets, dropping entries whose
-// accumulated value is exactly zero.
-func NewCSRCompact(rows, cols int, entries []Triplet) *CSR {
-	return newCSR(rows, cols, entries, true)
-}
-
 func newCSR(rows, cols int, entries []Triplet, dropZero bool) *CSR {
 	if rows <= 0 || cols <= 0 {
 		panic("linalg: invalid CSR dimensions")
@@ -83,9 +77,6 @@ func newCSR(rows, cols int, entries []Triplet, dropZero bool) *CSR {
 // Rows returns the number of rows.
 func (m *CSR) Rows() int { return m.rows }
 
-// Cols returns the number of columns.
-func (m *CSR) Cols() int { return m.cols }
-
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int { return len(m.vals) }
 
@@ -100,31 +91,6 @@ func (m *CSR) At(i, j int) float64 {
 		return m.vals[k]
 	}
 	return 0
-}
-
-// MulVec computes y = m·x.
-func (m *CSR) MulVec(x []float64) []float64 {
-	if len(x) != m.cols {
-		panic("linalg: CSR MulVec dimension mismatch")
-	}
-	y := make([]float64, m.rows)
-	m.MulVecTo(y, x)
-	return y
-}
-
-// MulVecTo computes y = m·x into a caller-provided slice, avoiding
-// allocation in inner loops.
-func (m *CSR) MulVecTo(y, x []float64) {
-	if len(x) != m.cols || len(y) != m.rows {
-		panic("linalg: CSR MulVecTo dimension mismatch")
-	}
-	for i := 0; i < m.rows; i++ {
-		s := 0.0
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.vals[k] * x[m.colIdx[k]]
-		}
-		y[i] = s
-	}
 }
 
 // VecMulTo computes y = xᵀ·m into a caller-provided slice. This is the

@@ -188,3 +188,37 @@ func BenchmarkCSRVecMul(b *testing.B) {
 		x, y = y, x
 	}
 }
+
+// NewCSRCompact builds a CSR matrix from triplets, dropping entries whose
+// accumulated value is exactly zero.
+func NewCSRCompact(rows, cols int, entries []Triplet) *CSR {
+	return newCSR(rows, cols, entries, true)
+}
+
+// Cols returns the number of columns.
+func (m *CSR) Cols() int { return m.cols }
+
+// MulVec computes y = m·x.
+func (m *CSR) MulVec(x []float64) []float64 {
+	if len(x) != m.cols {
+		panic("linalg: CSR MulVec dimension mismatch")
+	}
+	y := make([]float64, m.rows)
+	m.MulVecTo(y, x)
+	return y
+}
+
+// MulVecTo computes y = m·x into a caller-provided slice, avoiding
+// allocation in inner loops.
+func (m *CSR) MulVecTo(y, x []float64) {
+	if len(x) != m.cols || len(y) != m.rows {
+		panic("linalg: CSR MulVecTo dimension mismatch")
+	}
+	for i := 0; i < m.rows; i++ {
+		s := 0.0
+		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
+			s += m.vals[k] * x[m.colIdx[k]]
+		}
+		y[i] = s
+	}
+}

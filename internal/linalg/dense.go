@@ -10,8 +10,6 @@ package linalg
 
 import (
 	"fmt"
-	"math"
-	"strings"
 )
 
 // Dense is a row-major dense matrix.
@@ -27,31 +25,6 @@ func NewDense(rows, cols int) *Dense {
 		panic(fmt.Sprintf("linalg: invalid dense dimensions %dx%d", rows, cols))
 	}
 	return &Dense{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
-// NewDenseFromRows builds a matrix from row slices, which must be non-empty
-// and of equal length. The data is copied.
-func NewDenseFromRows(rows [][]float64) *Dense {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("linalg: NewDenseFromRows requires non-empty input")
-	}
-	m := NewDense(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			panic("linalg: ragged rows in NewDenseFromRows")
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
-	}
-	return m
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Dense {
-	m := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
 }
 
 // Rows returns the number of rows.
@@ -70,12 +43,6 @@ func (m *Dense) At(i, j int) float64 {
 func (m *Dense) Set(i, j int, v float64) {
 	m.check(i, j)
 	m.data[i*m.cols+j] = v
-}
-
-// Add accumulates v into the element at (i, j).
-func (m *Dense) Add(i, j int, v float64) {
-	m.check(i, j)
-	m.data[i*m.cols+j] += v
 }
 
 func (m *Dense) check(i, j int) {
@@ -97,114 +64,4 @@ func (m *Dense) Clone() *Dense {
 	c := NewDense(m.rows, m.cols)
 	copy(c.data, m.data)
 	return c
-}
-
-// Transpose returns a new matrix that is the transpose of m.
-func (m *Dense) Transpose() *Dense {
-	t := NewDense(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			t.data[j*t.cols+i] = v
-		}
-	}
-	return t
-}
-
-// MulVec computes y = m·x. It panics on dimension mismatch.
-func (m *Dense) MulVec(x []float64) []float64 {
-	if len(x) != m.cols {
-		panic("linalg: MulVec dimension mismatch")
-	}
-	y := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}
-
-// VecMul computes y = xᵀ·m (a row vector times the matrix), returning a
-// vector of length Cols. This is the natural orientation for probability
-// vectors, which are rows by convention.
-func (m *Dense) VecMul(x []float64) []float64 {
-	if len(x) != m.rows {
-		panic("linalg: VecMul dimension mismatch")
-	}
-	y := make([]float64, m.cols)
-	for i, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		row := m.Row(i)
-		for j, v := range row {
-			y[j] += xi * v
-		}
-	}
-	return y
-}
-
-// Mul returns the matrix product m·other.
-func (m *Dense) Mul(other *Dense) *Dense {
-	if m.cols != other.rows {
-		panic("linalg: Mul dimension mismatch")
-	}
-	out := NewDense(m.rows, other.cols)
-	for i := 0; i < m.rows; i++ {
-		mrow := m.Row(i)
-		orow := out.Row(i)
-		for k, mv := range mrow {
-			if mv == 0 {
-				continue
-			}
-			krow := other.Row(k)
-			for j, kv := range krow {
-				orow[j] += mv * kv
-			}
-		}
-	}
-	return out
-}
-
-// Scale multiplies every element by s, in place, and returns m.
-func (m *Dense) Scale(s float64) *Dense {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
-}
-
-// AddMat accumulates other into m element-wise, in place, and returns m.
-func (m *Dense) AddMat(other *Dense) *Dense {
-	if m.rows != other.rows || m.cols != other.cols {
-		panic("linalg: AddMat dimension mismatch")
-	}
-	for i := range m.data {
-		m.data[i] += other.data[i]
-	}
-	return m
-}
-
-// MaxAbs returns the largest absolute element value (the max norm).
-func (m *Dense) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
-// String renders the matrix for debugging.
-func (m *Dense) String() string {
-	var b strings.Builder
-	for i := 0; i < m.rows; i++ {
-		fmt.Fprintf(&b, "%v\n", m.Row(i))
-	}
-	return b.String()
 }

@@ -102,15 +102,6 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.lu.Rows(); i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // SolveLinear is a convenience wrapper factoring a and solving a·x = b.
 func SolveLinear(a *Dense, b []float64) ([]float64, error) {
 	f, err := FactorLU(a)

@@ -138,3 +138,12 @@ func TestLUIllConditionedStillSolves(t *testing.T) {
 		}
 	}
 }
+
+// Det returns the determinant of the factored matrix.
+func (f *LU) Det() float64 {
+	d := float64(f.sign)
+	for i := 0; i < f.lu.Rows(); i++ {
+		d *= f.lu.At(i, i)
+	}
+	return d
+}

@@ -2,18 +2,6 @@ package linalg
 
 import "math"
 
-// Dot returns the inner product of a and b, which must have equal length.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: Dot length mismatch")
-	}
-	s := 0.0
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
 // Sum returns the sum of the elements of v.
 func Sum(v []float64) float64 {
 	s := 0.0
@@ -21,35 +9,6 @@ func Sum(v []float64) float64 {
 		s += x
 	}
 	return s
-}
-
-// Norm1 returns the l1 norm of v.
-func Norm1(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// NormInf returns the max norm of v.
-func NormInf(v []float64) float64 {
-	m := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // AXPY computes y += a*x in place. x and y must have equal length.

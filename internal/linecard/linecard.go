@@ -233,10 +233,6 @@ func (l *LC) FailedComponentsAppend(buf []Component) []Component {
 // processor calls this through its subscription.
 func (l *LC) SetTable(t *forwarding.Table) { l.table = t }
 
-// Table returns the LFE's current routing-table snapshot (nil before the
-// first distribution).
-func (l *LC) Table() *forwarding.Table { return l.table }
-
 // Lookup performs an LFE lookup. It fails when the LFE is down or has no
 // table.
 func (l *LC) Lookup(addr uint32) (int, error) {

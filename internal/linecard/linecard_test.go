@@ -258,3 +258,7 @@ func TestCanCoverLookupNeedsTable(t *testing.T) {
 		t.Fatal("lookup coverage with failed LFE")
 	}
 }
+
+// Table returns the LFE's current routing-table snapshot (nil before the
+// first distribution).
+func (l *LC) Table() *forwarding.Table { return l.table }

@@ -60,7 +60,7 @@ func TestSampleMatchesTransientCDF(t *testing.T) {
 	c.Transition("up", "down", 0.0005)
 	isDown := func(l string) bool { return l == "down" }
 	const horizon = 800.0
-	dist := c.TransientAt(c.InitialPoint("up"), horizon, TransientOptions{})
+	dist := c.TransientAt(c.InitialPoint("up"), horizon)
 	want := dist[c.mustIndex("down")]
 
 	rng := xrand.New(5)
@@ -93,6 +93,6 @@ func BenchmarkTransientUniformization(b *testing.B) {
 	p0 := c.InitialPoint("ok")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = c.TransientAt(p0, 40000, TransientOptions{})
+		_ = c.TransientAt(p0, 40000)
 	}
 }

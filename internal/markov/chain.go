@@ -148,14 +148,6 @@ func (c *Chain) uniformized() (*linalg.CSR, float64) {
 // tests on small chains).
 func (c *Chain) DenseGenerator() *linalg.Dense { return c.Generator().Dense() }
 
-// ExitRate returns the total departure rate of state i (the negated
-// diagonal of Q). The value is memoized when the generator is first
-// built; subsequent calls are O(1) and allocation-free.
-func (c *Chain) ExitRate(i int) float64 {
-	c.Generator()
-	return c.exit[i]
-}
-
 // MaxExitRate returns the largest departure rate over all states, the Λ of
 // uniformization. Memoized with the generator; O(1) after sealing.
 func (c *Chain) MaxExitRate() float64 {

@@ -101,7 +101,7 @@ func TestTransientPureDeath(t *testing.T) {
 	lambda := 2e-5
 	c.Transition("up", "down", lambda)
 	for _, tt := range []float64{0, 100, 10000, 40000, 100000} {
-		dist := c.TransientAt(c.InitialPoint("up"), tt, TransientOptions{})
+		dist := c.TransientAt(c.InitialPoint("up"), tt)
 		want := math.Exp(-lambda * tt)
 		if !feq(dist[0], want, 1e-9) {
 			t.Fatalf("t=%g: P(up) = %.12f, want %.12f", tt, dist[0], want)
@@ -117,7 +117,7 @@ func TestTransientErlangTwoStage(t *testing.T) {
 	c.Transition("a", "b", lam)
 	c.Transition("b", "c", lam)
 	for _, tt := range []float64{50, 500, 5000} {
-		dist := c.TransientAt(c.InitialPoint("a"), tt, TransientOptions{})
+		dist := c.TransientAt(c.InitialPoint("a"), tt)
 		want := 1 - math.Exp(-lam*tt)*(1+lam*tt)
 		if !feq(dist[2], want, 1e-9) {
 			t.Fatalf("t=%g: P(c) = %.12f, want %.12f", tt, dist[2], want)
@@ -135,7 +135,7 @@ func TestTransientMatchesRK45(t *testing.T) {
 	c.Transition("b", "a", 0.05)
 	p0 := c.InitialPoint("a")
 	for _, tt := range []float64{0.5, 3, 20} {
-		uni := c.TransientAt(p0, tt, TransientOptions{})
+		uni := c.TransientAt(p0, tt)
 		rk := c.TransientRK45(p0, tt, 1e-11)
 		if linalg.MaxDiff(uni, rk) > 1e-7 {
 			t.Fatalf("t=%g: uniformization %v vs RK45 %v", tt, uni, rk)
@@ -150,7 +150,7 @@ func TestTransientLongHorizonStiff(t *testing.T) {
 	c := NewChain()
 	c.Transition("ok", "fail", 2e-5)
 	c.Transition("fail", "ok", 1.0/3)
-	p := c.TransientAt(c.InitialPoint("ok"), 1e6, TransientOptions{})
+	p := c.TransientAt(c.InitialPoint("ok"), 1e6)
 	pi := c.SteadyState()
 	if linalg.MaxDiff(p, pi) > 1e-9 {
 		t.Fatalf("transient at large t %v != steady state %v", p, pi)
@@ -163,7 +163,7 @@ func TestTransientConservation(t *testing.T) {
 	c.Transition("b", "c", 2)
 	c.Transition("c", "a", 3)
 	for _, tt := range []float64{0.1, 1, 10, 100} {
-		dist := c.TransientAt(c.InitialPoint("a"), tt, TransientOptions{})
+		dist := c.TransientAt(c.InitialPoint("a"), tt)
 		if !feq(linalg.Sum(dist), 1, 1e-12) {
 			t.Fatalf("t=%g: mass = %.15f", tt, linalg.Sum(dist))
 		}
@@ -182,7 +182,7 @@ func TestTransientSeriesMonotoneReliability(t *testing.T) {
 	c.Transition("up", "deg", 1e-4)
 	c.Transition("deg", "down", 5e-4)
 	times := []float64{0, 10, 100, 1000, 5000, 20000, 100000}
-	dists := c.TransientSeries(c.InitialPoint("up"), times, TransientOptions{})
+	dists := c.TransientSeries(c.InitialPoint("up"), times)
 	prev := 1.1
 	for i, d := range dists {
 		r := d[0] + d[1]
@@ -201,7 +201,7 @@ func TestTransientSeriesRejectsDecreasingTimes(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	c.TransientSeries(c.InitialPoint("a"), []float64{5, 1}, TransientOptions{})
+	c.TransientSeries(c.InitialPoint("a"), []float64{5, 1})
 }
 
 func TestMeanTimeToAbsorption(t *testing.T) {
@@ -240,4 +240,12 @@ func TestMeanTimeToAbsorptionWithBranching(t *testing.T) {
 	if !feq(mtta, want, 1e-8) {
 		t.Fatalf("MTTA = %g, want %g", mtta, want)
 	}
+}
+
+// ExitRate returns the total departure rate of state i (the negated
+// diagonal of Q). The value is memoized when the generator is first
+// built; subsequent calls are O(1) and allocation-free.
+func (c *Chain) ExitRate(i int) float64 {
+	c.Generator()
+	return c.exit[i]
 }

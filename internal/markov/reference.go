@@ -40,7 +40,7 @@ func UniformizedDenseReference(q *linalg.CSR, lambda float64) *linalg.CSR {
 // rebuilds the uniformized matrix through the dense round-trip and runs
 // the full Poisson series from t = 0 on every call, allocating all
 // working state afresh.
-func (c *Chain) TransientAtSerialDense(p0 []float64, t float64, opts TransientOptions) []float64 {
+func (c *Chain) TransientAtSerialDense(p0 []float64, t float64) []float64 {
 	if len(p0) != c.Len() {
 		panic("markov: initial distribution length mismatch")
 	}
@@ -56,7 +56,6 @@ func (c *Chain) TransientAtSerialDense(p0 []float64, t float64, opts TransientOp
 		return linalg.CloneVec(p0)
 	}
 	p := UniformizedDenseReference(q, lambda)
-	eps := opts.epsilon()
 	m := lambda * t
 
 	cur := linalg.CloneVec(p0)
@@ -70,7 +69,7 @@ func (c *Chain) TransientAtSerialDense(p0 []float64, t float64, opts TransientOp
 	}
 	logW := -m
 	k := 0
-	for logW < math.Log(eps)-40 && float64(k) < m {
+	for logW < math.Log(transientEpsilon)-40 && float64(k) < m {
 		k++
 		logW += math.Log(m) - math.Log(float64(k))
 		if advance() {
@@ -85,7 +84,7 @@ func (c *Chain) TransientAtSerialDense(p0 []float64, t float64, opts TransientOp
 			linalg.AXPY(w, cur, out)
 			acc += w
 		}
-		if acc >= 1-eps {
+		if acc >= 1-transientEpsilon {
 			break
 		}
 		k++
@@ -104,7 +103,7 @@ func (c *Chain) TransientAtSerialDense(p0 []float64, t float64, opts TransientOp
 
 // TransientSeriesSerialDense is the seed series evaluation: one
 // independent from-zero solve per time point.
-func (c *Chain) TransientSeriesSerialDense(p0 []float64, times []float64, opts TransientOptions) [][]float64 {
+func (c *Chain) TransientSeriesSerialDense(p0 []float64, times []float64) [][]float64 {
 	out := make([][]float64, len(times))
 	prev := -1.0
 	for i, t := range times {
@@ -112,7 +111,7 @@ func (c *Chain) TransientSeriesSerialDense(p0 []float64, times []float64, opts T
 			panic("markov: TransientSeries times must be non-decreasing")
 		}
 		prev = t
-		out[i] = c.TransientAtSerialDense(p0, t, opts)
+		out[i] = c.TransientAtSerialDense(p0, t)
 	}
 	return out
 }

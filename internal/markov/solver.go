@@ -21,7 +21,6 @@ type Solver struct {
 	c      *Chain
 	p      *linalg.CSR // uniformized DTMC, nil when Λ = 0
 	lambda float64
-	eps    float64
 
 	// Poisson window cache: weights w[k0 .. k0+len(w)-1] for mean wm,
 	// summing to wsum ≥ 1−ε. Recomputed only when the mean changes.
@@ -34,28 +33,17 @@ type Solver struct {
 	cur, next []float64
 }
 
-// NewSolver returns a Solver for the sealed chain. opts tunes the
-// truncation error exactly as in Chain.TransientAt.
-func NewSolver(c *Chain, opts TransientOptions) *Solver {
+// NewSolver returns a Solver for the sealed chain.
+func NewSolver(c *Chain) *Solver {
 	p, lambda := c.uniformized()
 	n := c.Len()
 	return &Solver{
 		c:      c,
 		p:      p,
 		lambda: lambda,
-		eps:    opts.epsilon(),
 		wm:     -1,
 		cur:    make([]float64, n),
 		next:   make([]float64, n),
-	}
-}
-
-// reset retunes a pooled Solver for a new options value, invalidating
-// the Poisson cache only when the tolerance actually changed.
-func (s *Solver) reset(opts TransientOptions) {
-	if eps := opts.epsilon(); eps != s.eps {
-		s.eps = eps
-		s.wm = -1
 	}
 }
 
@@ -71,7 +59,7 @@ func (s *Solver) ensureWeights(m float64) {
 	logW := -m // log w_0 = −m
 	k := 0
 	logm := math.Log(m)
-	for logW < math.Log(s.eps)-40 && float64(k) < m {
+	for logW < math.Log(transientEpsilon)-40 && float64(k) < m {
 		k++
 		logW += logm - math.Log(float64(k))
 	}
@@ -84,7 +72,7 @@ func (s *Solver) ensureWeights(m float64) {
 		if w > 0 {
 			acc += w
 		}
-		if acc >= 1-s.eps {
+		if acc >= 1-transientEpsilon {
 			break
 		}
 		k++
@@ -230,12 +218,11 @@ func (s *Solver) TransientSeries(p0 []float64, times []float64) [][]float64 {
 // retunes it; putSolver returns it. The pool makes the Chain-level
 // convenience methods allocation-free after warm-up and safe to call
 // from concurrent sweep workers.
-func (c *Chain) getSolver(opts TransientOptions) *Solver {
+func (c *Chain) getSolver() *Solver {
 	if s, ok := c.solvers.Get().(*Solver); ok {
-		s.reset(opts)
 		return s
 	}
-	return NewSolver(c, opts)
+	return NewSolver(c)
 }
 
 func (c *Chain) putSolver(s *Solver) { c.solvers.Put(s) }

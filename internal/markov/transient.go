@@ -6,20 +6,9 @@ import (
 	"repro/internal/linalg"
 )
 
-// TransientOptions tunes the transient solvers. The zero value selects
-// sensible defaults.
-type TransientOptions struct {
-	// Epsilon bounds the truncation error of uniformization per evaluation
-	// point. Default 1e-12.
-	Epsilon float64
-}
-
-func (o TransientOptions) epsilon() float64 {
-	if o.Epsilon <= 0 {
-		return 1e-12
-	}
-	return o.Epsilon
-}
+// transientEpsilon bounds the truncation error of uniformization per
+// evaluation point.
+const transientEpsilon = 1e-12
 
 // TransientAt returns the state distribution at time t starting from the
 // distribution p0, computed by uniformization (Jensen's method):
@@ -28,7 +17,7 @@ func (o TransientOptions) epsilon() float64 {
 //
 // The Poisson weights are generated by the stable Fox–Glynn-style
 // recursion in solver.go, and the series is truncated when the
-// accumulated weight exceeds 1 − ε. Uniformization is unconditionally
+// accumulated weight exceeds 1 − ε (ε = 10⁻¹²). Uniformization is unconditionally
 // stable (all quantities are probabilities), which matters for the
 // paper's chains, whose time horizon (10^5 hours) times rates
 // (10^-6..10^-5 per hour) would make a naive matrix-exponential Taylor
@@ -38,14 +27,14 @@ func (o TransientOptions) epsilon() float64 {
 // method draws a pooled Solver so the CSR-native uniformized matrix is
 // built once per sealed chain and repeated calls allocate only the
 // result vector.
-func (c *Chain) TransientAt(p0 []float64, t float64, opts TransientOptions) []float64 {
+func (c *Chain) TransientAt(p0 []float64, t float64) []float64 {
 	if len(p0) != c.Len() {
 		panic("markov: initial distribution length mismatch")
 	}
 	if t < 0 {
 		panic("markov: negative time")
 	}
-	s := c.getSolver(opts)
+	s := c.getSolver()
 	defer c.putSolver(s)
 	return s.TransientAt(p0, t)
 }
@@ -55,11 +44,11 @@ func (c *Chain) TransientAt(p0 []float64, t float64, opts TransientOptions) []fl
 // point continues uniformization from the previous point's distribution,
 // so a sorted series costs one pass over [0, t_max] instead of
 // len(times) independent solves.
-func (c *Chain) TransientSeries(p0 []float64, times []float64, opts TransientOptions) [][]float64 {
+func (c *Chain) TransientSeries(p0 []float64, times []float64) [][]float64 {
 	if len(p0) != c.Len() {
 		panic("markov: initial distribution length mismatch")
 	}
-	s := c.getSolver(opts)
+	s := c.getSolver()
 	defer c.putSolver(s)
 	return s.TransientSeries(p0, times)
 }

@@ -90,8 +90,8 @@ func TestPropTransientMatchesReference(t *testing.T) {
 		c := randomChain(r)
 		p0 := randomDist(r, c.Len())
 		for _, horizon := range []float64{0, 0.05, 0.7, 3, 40} {
-			got := c.TransientAt(p0, horizon, TransientOptions{})
-			want := c.TransientAtSerialDense(p0, horizon, TransientOptions{})
+			got := c.TransientAt(p0, horizon)
+			want := c.TransientAtSerialDense(p0, horizon)
 			if linalg.MaxDiff(got, want) > 1e-10 {
 				t.Logf("seed %d t=%g: max diff %.3e", seed, horizon, linalg.MaxDiff(got, want))
 				return false
@@ -117,9 +117,9 @@ func TestPropSeriesMatchesPointSolves(t *testing.T) {
 			acc += r.Float64() * 5
 			times[i] = acc
 		}
-		series := c.TransientSeries(p0, times, TransientOptions{})
+		series := c.TransientSeries(p0, times)
 		for i, tt := range times {
-			want := c.TransientAt(p0, tt, TransientOptions{})
+			want := c.TransientAt(p0, tt)
 			if linalg.MaxDiff(series[i], want) > 1e-8 {
 				t.Logf("seed %d t=%g: series vs point max diff %.3e", seed, tt, linalg.MaxDiff(series[i], want))
 				return false
@@ -143,13 +143,13 @@ func TestPropSolverReuseInvariant(t *testing.T) {
 		t1 := 0.1 + r.Float64()*10
 		t2 := 0.1 + r.Float64()*200
 
-		warm := NewSolver(c, TransientOptions{})
+		warm := NewSolver(c)
 		_ = warm.TransientAt(p0, t1) // pollute caches with a different horizon
 		_ = warm.TransientAt(p0, t2)
 		afterReuse := warm.TransientAt(p0, t2) // cached-weights path
 		again := warm.TransientAt(p0, t2)
 
-		fresh := NewSolver(c, TransientOptions{})
+		fresh := NewSolver(c)
 		direct := fresh.TransientAt(p0, t2)
 
 		for i := range direct {
@@ -179,7 +179,7 @@ func TestSolverSeriesZeroAllocs(t *testing.T) {
 	for i := range dst {
 		dst[i] = make([]float64, c.Len())
 	}
-	s := NewSolver(c, TransientOptions{})
+	s := NewSolver(c)
 	s.TransientSeriesInto(dst, p0, times) // warm the weight buffer
 	allocs := testing.AllocsPerRun(10, func() {
 		s.TransientSeriesInto(dst, p0, times)

@@ -58,13 +58,6 @@ func (c *Counter) Inc() {
 	}
 }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
 // Value returns the current count (0 on nil).
 func (c *Counter) Value() uint64 {
 	if c == nil {
@@ -182,18 +175,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	for i := range out {
 		out[i] = v
 		v *= factor
-	}
-	return out
-}
-
-// LinearBuckets returns n upper bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	if width <= 0 || n < 1 {
-		panic("metrics: LinearBuckets needs width > 0, n ≥ 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
 	}
 	return out
 }

@@ -141,3 +141,22 @@ func TestGaugeAddIsAtomicOverNaNFreePath(t *testing.T) {
 		t.Fatalf("gauge = %g", got)
 	}
 }
+
+// Add adds n.
+func (c *Counter) Add(n uint64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
+
+// LinearBuckets returns n upper bounds start, start+width, ...
+func LinearBuckets(start, width float64, n int) []float64 {
+	if width <= 0 || n < 1 {
+		panic("metrics: LinearBuckets needs width > 0, n ≥ 1")
+	}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = start + float64(i)*width
+	}
+	return out
+}

@@ -155,13 +155,6 @@ func (a *Audit) Rotations() uint64 {
 	return a.rotated
 }
 
-// Seq returns the last issued sequence number.
-func (a *Audit) Seq() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.seq
-}
-
 // Size returns the active file's size in bytes.
 func (a *Audit) Size() int64 {
 	a.mu.Lock()

@@ -587,3 +587,10 @@ func TestManagerLifecycleAndMetrics(t *testing.T) {
 		t.Fatal("audit log empty after audited commits")
 	}
 }
+
+// Seq returns the last issued sequence number.
+func (a *Audit) Seq() uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.seq
+}

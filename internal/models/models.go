@@ -82,9 +82,6 @@ type Model struct {
 // Chain exposes the underlying CTMC.
 func (m *Model) Chain() *markov.Chain { return m.chain }
 
-// States returns the size of the state space.
-func (m *Model) States() int { return m.chain.Len() }
-
 // FailState is the label of the absorbing/down state F.
 const FailState = "F"
 
@@ -94,7 +91,7 @@ func IsOperational(label string) bool { return label != FailState }
 // ReliabilityAt returns R(t): the probability that LCUA has provided
 // uninterrupted packet service over [0, t].
 func (m *Model) ReliabilityAt(t float64) float64 {
-	dist := m.chain.TransientAt(m.chain.InitialPoint(m.init), t, markov.TransientOptions{})
+	dist := m.chain.TransientAt(m.chain.InitialPoint(m.init), t)
 	return m.chain.ProbabilityOf(dist, IsOperational)
 }
 
@@ -106,13 +103,13 @@ func (m *Model) ReliabilitySeries(times []float64) []float64 {
 	p0 := m.chain.InitialPoint(m.init)
 	out := make([]float64, len(times))
 	if sortedTimes(times) {
-		for i, dist := range m.chain.TransientSeries(p0, times, markov.TransientOptions{}) {
+		for i, dist := range m.chain.TransientSeries(p0, times) {
 			out[i] = m.chain.ProbabilityOf(dist, IsOperational)
 		}
 		return out
 	}
 	for i, t := range times {
-		dist := m.chain.TransientAt(p0, t, markov.TransientOptions{})
+		dist := m.chain.TransientAt(p0, t)
 		out[i] = m.chain.ProbabilityOf(dist, IsOperational)
 	}
 	return out
@@ -126,7 +123,7 @@ func (m *Model) ReliabilitySeries(times []float64) []float64 {
 func (m *Model) ReliabilitySeriesSerialDense(times []float64) []float64 {
 	p0 := m.chain.InitialPoint(m.init)
 	out := make([]float64, len(times))
-	for i, dist := range m.chain.TransientSeriesSerialDense(p0, times, markov.TransientOptions{}) {
+	for i, dist := range m.chain.TransientSeriesSerialDense(p0, times) {
 		out[i] = m.chain.ProbabilityOf(dist, IsOperational)
 	}
 	return out
@@ -161,7 +158,7 @@ func (m *Model) MTTF() (float64, error) {
 // probability of being operational at time t on a repairable model. On a
 // model without repair it coincides with R(t).
 func (m *Model) AvailabilityAt(t float64) float64 {
-	dist := m.chain.TransientAt(m.chain.InitialPoint(m.init), t, markov.TransientOptions{})
+	dist := m.chain.TransientAt(m.chain.InitialPoint(m.init), t)
 	return m.chain.ProbabilityOf(dist, IsOperational)
 }
 
@@ -177,16 +174,6 @@ func (m *Model) IntervalAvailability(horizon float64, panels int) float64 {
 	}
 	up := m.chain.OccupancyIn(m.chain.InitialPoint(m.init), IsOperational, horizon, panels)
 	return up / horizon
-}
-
-// ExpectedDowntime returns the expected cumulative down time over
-// [0, horizon] — the operator-facing complement of IntervalAvailability.
-func (m *Model) ExpectedDowntime(horizon float64) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return m.chain.OccupancyIn(m.chain.InitialPoint(m.init),
-		func(l string) bool { return !IsOperational(l) }, horizon, 0)
 }
 
 // --- BDR (Figure 5(a)) ---

@@ -321,3 +321,16 @@ func TestConstructorErrors(t *testing.T) {
 		t.Fatal("invalid params accepted")
 	}
 }
+
+// States returns the size of the state space.
+func (m *Model) States() int { return m.chain.Len() }
+
+// ExpectedDowntime returns the expected cumulative down time over
+// [0, horizon] — the operator-facing complement of IntervalAvailability.
+func (m *Model) ExpectedDowntime(horizon float64) float64 {
+	if horizon <= 0 {
+		return 0
+	}
+	return m.chain.OccupancyIn(m.chain.InitialPoint(m.init),
+		func(l string) bool { return !IsOperational(l) }, horizon, 0)
+}

@@ -66,9 +66,6 @@ func (u UnavailabilityResult) CI() (lo, hi float64) { return u.Ratio.CI(1.96) }
 // RelHalfWidth returns the relative 95% CI half-width.
 func (u UnavailabilityResult) RelHalfWidth() float64 { return u.Ratio.RelHalfWidth(1.96) }
 
-// Availability returns 1 − Û.
-func (u UnavailabilityResult) Availability() float64 { return 1 - u.Estimate() }
-
 // cycleOut is one regenerative cycle's outcome. down is the conditional
 // expected downtime rather than the sampled one: once the target LC goes
 // down it stays down until the repair completes (failures only accumulate

@@ -85,11 +85,6 @@ func CellsFor(n int) int {
 	return (n + CellPayload - 1) / CellPayload
 }
 
-// Segment splits p into fabric cells addressed to p.DstLC. It panics if the
-// packet has not been through lookup (DstLC < 0) because cells would be
-// unroutable. Hot paths should prefer SegmentAppend with a reused buffer.
-func Segment(p *Packet) []Cell { return SegmentAppend(nil, p) }
-
 // SegmentAppend appends p's fabric cells to buf and returns the extended
 // slice, reusing buf's capacity — the zero-alloc form of Segment. Callers
 // typically keep one scratch buffer and pass buf[:0].

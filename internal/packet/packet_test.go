@@ -193,3 +193,11 @@ func TestProtocolString(t *testing.T) {
 		t.Fatalf("NumProtocols = %d", NumProtocols)
 	}
 }
+
+// Segment splits p into fabric cells addressed to p.DstLC. It panics if the
+// packet has not been through lookup (DstLC < 0) because cells would be
+// unroutable. Hot paths should prefer SegmentAppend with a reused buffer.
+func Segment(p *Packet) []Cell { return SegmentAppend(nil, p) }
+
+// Pending returns the number of partially reassembled packets.
+func (r *Reassembler) Pending() int { return len(r.pending) }

@@ -35,9 +35,6 @@ func NewReassembler() *Reassembler {
 	return &Reassembler{pending: make(map[uint64]*assembly)}
 }
 
-// Pending returns the number of partially reassembled packets.
-func (r *Reassembler) Pending() int { return len(r.pending) }
-
 // alloc takes an assembly from the free list or the heap.
 func (r *Reassembler) alloc() *assembly {
 	if n := len(r.free); n > 0 {

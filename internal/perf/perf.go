@@ -117,81 +117,3 @@ func (p Params) SupportedFaultsAtFullService() int {
 	}
 	return p.N - 1
 }
-
-// AggregateCoverage returns ΣB_faulty, the total EIB traffic, for a given
-// X_faulty — used by the B_BUS ablation.
-func (p Params) AggregateCoverage(xFaulty int) float64 {
-	return p.BFaulty(xFaulty) * float64(xFaulty)
-}
-
-// Heterogeneous extends the §5.3 analysis beyond the paper's uniform-load
-// assumption: every LC has its own utilization, and any subset may be
-// faulty. The allocation follows the same two caps — the healthy LCs'
-// pooled spare capacity and B_BUS — with the EIB promise formula's
-// proportional scale-back applied to the per-LC demands.
-type Heterogeneous struct {
-	// CLC is the per-LC capacity.
-	CLC float64
-	// Loads is each LC's utilization in [0, 1]; its length is N.
-	Loads []float64
-	// BusCapacity is B_BUS.
-	BusCapacity float64
-}
-
-// Validate rejects out-of-range parameters.
-func (h Heterogeneous) Validate() error {
-	if len(h.Loads) < 2 {
-		return fmt.Errorf("perf: need at least two LCs, got %d", len(h.Loads))
-	}
-	if h.CLC <= 0 || h.BusCapacity <= 0 {
-		return fmt.Errorf("perf: capacities must be positive")
-	}
-	for i, l := range h.Loads {
-		if l < 0 || l > 1 {
-			return fmt.Errorf("perf: load[%d] = %g outside [0, 1]", i, l)
-		}
-	}
-	return nil
-}
-
-// Allocate returns the bandwidth granted to each faulty LC (keyed by LC
-// index). faulty lists the failed LCs; every other LC contributes spare
-// ψ_i = c(1 − L_i). It panics on invalid parameters or a faulty index out
-// of range; an empty faulty set returns an empty map.
-func (h Heterogeneous) Allocate(faulty []int) map[int]float64 {
-	if err := h.Validate(); err != nil {
-		panic(err)
-	}
-	isFaulty := make(map[int]bool, len(faulty))
-	for _, i := range faulty {
-		if i < 0 || i >= len(h.Loads) {
-			panic(fmt.Sprintf("perf: faulty LC %d out of range", i))
-		}
-		isFaulty[i] = true
-	}
-	spare := 0.0
-	demand := 0.0
-	for i, l := range h.Loads {
-		if isFaulty[i] {
-			demand += l * h.CLC
-		} else {
-			spare += (1 - l) * h.CLC
-		}
-	}
-	scale := 1.0
-	if demand > h.BusCapacity {
-		scale = h.BusCapacity / demand
-	}
-	if s := spare / demand; demand > 0 && s < scale {
-		scale = s
-	}
-	out := make(map[int]float64, len(faulty))
-	for i := range isFaulty {
-		got := h.Loads[i] * h.CLC * scale
-		if full := h.Loads[i] * h.CLC; got > full {
-			got = full
-		}
-		out[i] = got
-	}
-	return out
-}

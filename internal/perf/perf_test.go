@@ -178,89 +178,6 @@ func TestBiggerNHelpsProperty(t *testing.T) {
 	}
 }
 
-func TestHeterogeneousReducesToUniform(t *testing.T) {
-	// Equal loads must reproduce the uniform formula at every X.
-	for _, load := range []float64{0.15, 0.3, 0.5, 0.7} {
-		uni := PaperParams(load)
-		loads := make([]float64, 6)
-		for i := range loads {
-			loads[i] = load
-		}
-		het := Heterogeneous{CLC: 10e9, Loads: loads, BusCapacity: 10e9}
-		for x := 1; x <= 5; x++ {
-			faulty := make([]int, x)
-			for i := range faulty {
-				faulty[i] = i
-			}
-			got := het.Allocate(faulty)
-			want := uni.BFaulty(x)
-			for _, i := range faulty {
-				if !feq(got[i], want) {
-					t.Fatalf("L=%g X=%d: heterogeneous %g vs uniform %g", load, x, got[i], want)
-				}
-			}
-		}
-	}
-}
-
-func TestHeterogeneousProportionalShares(t *testing.T) {
-	// Two faulty LCs with demands 6 and 2 Gbps against 4 Gbps of spare:
-	// proportional scale-back gives 3 and 1.
-	het := Heterogeneous{CLC: 10e9, Loads: []float64{0.6, 0.2, 0.6, 0.6}, BusCapacity: 10e9}
-	got := het.Allocate([]int{0, 1})
-	// spare = 2 × (1−0.6) × 10 = 8 > demand 8 → full... recompute:
-	// demand = 6+2 = 8, spare = 0.4·10 × 2 = 8 → scale 1, full service.
-	if !feq(got[0], 6e9) || !feq(got[1], 2e9) {
-		t.Fatalf("alloc = %v", got)
-	}
-	// Raise the healthy loads so spare halves: scale 0.5.
-	het2 := Heterogeneous{CLC: 10e9, Loads: []float64{0.6, 0.2, 0.8, 0.8}, BusCapacity: 10e9}
-	got2 := het2.Allocate([]int{0, 1})
-	if !feq(got2[0], 3e9) || !feq(got2[1], 1e9) {
-		t.Fatalf("scaled alloc = %v", got2)
-	}
-}
-
-func TestHeterogeneousBusBinds(t *testing.T) {
-	het := Heterogeneous{CLC: 10e9, Loads: []float64{0.9, 0.9, 0.1, 0.1, 0.1, 0.1}, BusCapacity: 5e9}
-	got := het.Allocate([]int{0, 1})
-	total := got[0] + got[1]
-	if !feq(total, 5e9) {
-		t.Fatalf("bus cap not enforced: total %g", total)
-	}
-	// Shares stay proportional (equal demands → equal shares).
-	if !feq(got[0], got[1]) {
-		t.Fatalf("unequal shares for equal demands: %v", got)
-	}
-}
-
-func TestHeterogeneousEdgeCases(t *testing.T) {
-	het := Heterogeneous{CLC: 10e9, Loads: []float64{0.5, 0.5}, BusCapacity: 10e9}
-	if len(het.Allocate(nil)) != 0 {
-		t.Fatal("empty faulty set should allocate nothing")
-	}
-	for name, f := range map[string]func(){
-		"bad index": func() { het.Allocate([]int{5}) },
-		"bad load": func() {
-			h := Heterogeneous{CLC: 1, Loads: []float64{2, 0}, BusCapacity: 1}
-			h.Allocate([]int{0})
-		},
-		"one LC": func() {
-			h := Heterogeneous{CLC: 1, Loads: []float64{0.5}, BusCapacity: 1}
-			h.Allocate([]int{0})
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestAggregateCoverageRespectsBus(t *testing.T) {
 	p := PaperParams(0.7)
 	for x := 1; x <= 5; x++ {
@@ -268,4 +185,10 @@ func TestAggregateCoverageRespectsBus(t *testing.T) {
 			t.Fatalf("X=%d: aggregate %g exceeds B_BUS", x, agg)
 		}
 	}
+}
+
+// AggregateCoverage returns ΣB_faulty, the total EIB traffic, for a given
+// X_faulty — used by the B_BUS ablation.
+func (p Params) AggregateCoverage(xFaulty int) float64 {
+	return p.BFaulty(xFaulty) * float64(xFaulty)
 }

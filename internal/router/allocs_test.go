@@ -3,16 +3,14 @@ package router
 import (
 	"testing"
 
-	"repro/internal/linecard"
 	"repro/internal/packet"
 	"repro/internal/testutil"
 	"repro/internal/workload"
-	"repro/internal/xrand"
 )
 
 // Zero-alloc gates for the steady-state packet path through the router:
 // fault-free fabric delivery (lookup → segmentation → fabric → reassembly)
-// and the source injection loop must not allocate once warm.
+// must not allocate once warm.
 
 func skipUnderRace(t *testing.T) {
 	t.Helper()
@@ -52,30 +50,5 @@ func TestDeliverSteadyStateAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, deliver); n != 0 {
 		t.Fatalf("steady-state Deliver allocates %v per 3 packets, want 0", n)
-	}
-}
-
-// TestSourceLoopAllocFree pins the full injection loop — generator draw,
-// kernel event, Deliver, pool release — to zero allocations per arrival.
-func TestSourceLoopAllocFree(t *testing.T) {
-	skipUnderRace(t)
-	r := newDRARouter(t, 6, 3)
-	settle(r)
-	cfg := UniformConfig(linecard.DRA, 6, 3)
-	rng := xrand.New(11)
-	pool := workload.NewAddrPool(rng, 6, 0)
-	var ids uint64
-	gen, err := workload.NewPoisson(rng, pool, 0, packet.ProtoEthernet, 0.3*cfg.LCCapacity, &ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := r.NewSource(gen)
-	s.Start()
-	k := r.Kernel()
-	for i := 0; i < 200; i++ { // warm pools along the whole path
-		k.Step()
-	}
-	if n := testing.AllocsPerRun(500, func() { k.Step() }); n != 0 {
-		t.Fatalf("source injection loop allocates %v per event, want 0", n)
 	}
 }

@@ -1,8 +1,6 @@
 package router
 
 import (
-	"fmt"
-
 	"repro/internal/linecard"
 )
 
@@ -103,9 +101,4 @@ func (r *Router) FailWholeLC(i int) {
 		}
 	}
 	r.reconcileCoverage()
-}
-
-// String renders the report compactly for logs.
-func (b BandwidthReport) String() string {
-	return fmt.Sprintf("demand=%g spare=%g bus=%g per-faulty=%v", b.Demand, b.SpareTotal, b.BusCap, b.PerFaulty)
 }

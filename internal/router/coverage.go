@@ -120,17 +120,6 @@ func (r *Router) existsPeer(self int, ok func(*linecard.LC) bool) bool {
 	return false
 }
 
-// OperationalLCs counts LCs whose service is up.
-func (r *Router) OperationalLCs() int {
-	n := 0
-	for i := range r.lcs {
-		if r.CanDeliver(i) {
-			n++
-		}
-	}
-	return n
-}
-
 // --- Fault and repair entry points ---
 
 // FailComponent marks component c of LC i failed and reconciles coverage

@@ -342,17 +342,3 @@ func (r *Router) dropped(rep *PathReport, reason string) PathReport {
 	r.conservation()
 	return *rep
 }
-
-// DeliverFrom is Deliver plus ingress-side drop attribution: losses are
-// charged to the ingress linecard's Dropped counter, giving per-LC loss
-// rates for reports.
-func (r *Router) DeliverFrom(p *packet.Packet) PathReport {
-	rep := r.Deliver(p)
-	if rep.Kind == PathDropped && p.SrcLC >= 0 && p.SrcLC < len(r.lcs) {
-		r.lcs[p.SrcLC].Dropped++
-		if r.im.lcDrops != nil {
-			r.im.lcDrops.With(r.im.lcLabel[p.SrcLC], rep.DropReason).Inc()
-		}
-	}
-	return rep
-}

@@ -37,12 +37,6 @@ func PaperRates(repair float64) FaultRates {
 	}
 }
 
-// LambdaLPI returns the combined PI-unit rate λ_LPI = λ_SRU + λ_LFE.
-func (f FaultRates) LambdaLPI() float64 { return f.SRU + f.LFE }
-
-// LambdaLC returns the whole-LC rate λ_LC = λ_LPD + λ_LPI.
-func (f FaultRates) LambdaLC() float64 { return f.PDLU + f.SRU + f.LFE }
-
 // Validate rejects negative rates.
 func (f FaultRates) Validate() error {
 	for _, v := range []float64{f.PDLU, f.SRU, f.LFE, f.PIU, f.BC, f.Bus, f.Repair} {
@@ -189,11 +183,6 @@ func (inj *Injector) SetBiasing(b Biasing) error {
 	inj.bias = b
 	return nil
 }
-
-// LogLR returns the accumulated log likelihood ratio of the trajectory so
-// far, excluding the still-open exposure segments (see CheckpointLR). It
-// is exactly 0 when biasing is off.
-func (inj *Injector) LogLR() float64 { return inj.logLR }
 
 // CheckpointLR closes every open lifetime segment at the current kernel
 // time and returns the accumulated log likelihood ratio. It is safe to

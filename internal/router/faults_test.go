@@ -145,3 +145,14 @@ func TestInjectorAvailabilityOrderOfMagnitude(t *testing.T) {
 		t.Fatalf("simulated DRA availability %v not above BDR analytic 0.99994", a)
 	}
 }
+
+// LambdaLPI returns the combined PI-unit rate λ_LPI = λ_SRU + λ_LFE.
+func (f FaultRates) LambdaLPI() float64 { return f.SRU + f.LFE }
+
+// LambdaLC returns the whole-LC rate λ_LC = λ_LPD + λ_LPI.
+func (f FaultRates) LambdaLC() float64 { return f.PDLU + f.SRU + f.LFE }
+
+// LogLR returns the accumulated log likelihood ratio of the trajectory so
+// far, excluding the still-open exposure segments (see CheckpointLR). It
+// is exactly 0 when biasing is off.
+func (inj *Injector) LogLR() float64 { return inj.logLR }

@@ -81,9 +81,6 @@ func (r *Router) AttachInvariants(c *invariant.Checker) {
 	r.k.SetAfterStep(c.Sweep)
 }
 
-// Invariants returns the attached checker (nil when none).
-func (r *Router) Invariants() *invariant.Checker { return r.inv }
-
 // checkLPUnique verifies no two open LPs share an initiator.
 func (r *Router) checkLPUnique() string {
 	seen := make(map[int]int) // initiator → LP id

@@ -274,3 +274,6 @@ func BenchmarkInvariantOverhead(b *testing.B) {
 		soak(b, func(r *Router) { r.AttachInvariants(invariant.New()) })
 	})
 }
+
+// Invariants returns the attached checker (nil when none).
+func (r *Router) Invariants() *invariant.Checker { return r.inv }

@@ -18,7 +18,6 @@
 package router
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 
@@ -382,9 +381,6 @@ func (r *Router) SetTracer(t *trace.Recorder) {
 	t.SetClock(func() float64 { return float64(r.k.Now()) })
 }
 
-// Tracer returns the attached recorder (nil when tracing is off).
-func (r *Router) Tracer() *trace.Recorder { return r.tr }
-
 // Kernel exposes the simulation kernel.
 func (r *Router) Kernel() *sim.Kernel { return r.k }
 
@@ -402,22 +398,8 @@ func (r *Router) Fabric() *fabric.Fabric { return r.fab }
 // RepairTopoUnit instead.
 func (r *Router) Topology() *topology.Graph { return r.topo }
 
-// Policy returns the active spare-channeling policy.
-func (r *Router) Policy() topology.SparePolicy { return r.policy }
-
 // Bus returns the EIB (nil under BDR).
 func (r *Router) Bus() *eib.Bus { return r.bus }
-
-// Controller returns LC i's bus controller (nil under BDR).
-func (r *Router) Controller(i int) *eib.Controller {
-	if r.ctrl == nil {
-		return nil
-	}
-	return r.ctrl[i]
-}
-
-// RouteProcessor returns the RP.
-func (r *Router) RouteProcessor() *forwarding.RouteProcessor { return r.rp }
 
 // SetOfferedLoad records LC i's offered load (bits per time unit), the L·c
 // of the paper's performance analysis. It bounds the spare capacity the LC
@@ -452,11 +434,6 @@ func (r *Router) InstallUniformRoutes() {
 
 // Metrics returns a snapshot of the router's counters.
 func (r *Router) Metrics() Metrics { return r.m }
-
-// MetricsJSON renders the counter snapshot as JSON for ops tooling.
-func (r *Router) MetricsJSON() ([]byte, error) {
-	return json.MarshalIndent(r.m, "", "  ")
-}
 
 // Metrics aggregates router-wide counters.
 type Metrics struct {

@@ -1,6 +1,9 @@
 package router
 
 import (
+	"encoding/json"
+	"repro/internal/eib"
+	"repro/internal/trace"
 	"testing"
 
 	"repro/internal/linecard"
@@ -388,17 +391,6 @@ func TestIngressPortFaultDropsOnlyThatPort(t *testing.T) {
 	}
 }
 
-func TestOperationalLCs(t *testing.T) {
-	r := newDRARouter(t, 6, 3)
-	if got := r.OperationalLCs(); got != 6 {
-		t.Fatalf("OperationalLCs = %d", got)
-	}
-	r.FailComponent(0, linecard.PIU)
-	if got := r.OperationalLCs(); got != 5 {
-		t.Fatalf("OperationalLCs = %d after PIU failure", got)
-	}
-}
-
 func TestConservationOfPackets(t *testing.T) {
 	r := newDRARouter(t, 6, 3)
 	r.FailComponent(0, linecard.SRU)
@@ -464,4 +456,20 @@ func TestSetOfferedLoadValidation(t *testing.T) {
 		}
 	}()
 	r.SetOfferedLoad(0, -1)
+}
+
+// Tracer returns the attached recorder (nil when tracing is off).
+func (r *Router) Tracer() *trace.Recorder { return r.tr }
+
+// Controller returns LC i's bus controller (nil under BDR).
+func (r *Router) Controller(i int) *eib.Controller {
+	if r.ctrl == nil {
+		return nil
+	}
+	return r.ctrl[i]
+}
+
+// MetricsJSON renders the counter snapshot as JSON for ops tooling.
+func (r *Router) MetricsJSON() ([]byte, error) {
+	return json.MarshalIndent(r.m, "", "  ")
 }

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"repro/internal/packet"
 	"strings"
 	"testing"
 
@@ -83,4 +84,18 @@ func TestDeliverFromChargesIngress(t *testing.T) {
 	if r.LC(0).Dropped != 0 {
 		t.Fatal("successful delivery charged a drop")
 	}
+}
+
+// DeliverFrom is Deliver plus ingress-side drop attribution: losses are
+// charged to the ingress linecard's Dropped counter, giving per-LC loss
+// rates for reports.
+func (r *Router) DeliverFrom(p *packet.Packet) PathReport {
+	rep := r.Deliver(p)
+	if rep.Kind == PathDropped && p.SrcLC >= 0 && p.SrcLC < len(r.lcs) {
+		r.lcs[p.SrcLC].Dropped++
+		if r.im.lcDrops != nil {
+			r.im.lcDrops.With(r.im.lcLabel[p.SrcLC], rep.DropReason).Inc()
+		}
+	}
+	return rep
 }

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/jobs"
 	"repro/internal/mgmt"
 )
 
@@ -54,6 +55,22 @@ func (s *Server) authorize(w http.ResponseWriter, r *http.Request, v mgmt.Verb) 
 // roles only their own tenant's.
 func callerOwns(id mgmt.Identity, tenant string) bool {
 	return id.Role == mgmt.RoleAdmin || id.Tenant == tenant
+}
+
+// callerSubmitted reports whether the caller may read a job: admins
+// read every job, other roles the jobs their tenant submitted, first or
+// through a later submit of the same spec.
+func (s *Server) callerSubmitted(id mgmt.Identity, snap jobs.Snapshot) bool {
+	return callerOwns(id, snap.Tenant) || s.mgr.SubmittedBy(snap.ID, id.Tenant)
+}
+
+// forCaller hides another tenant's name from a non-admin caller: a job
+// the caller reads but did not submit first shows no tenant.
+func forCaller(id mgmt.Identity, snap jobs.Snapshot) jobs.Snapshot {
+	if !callerOwns(id, snap.Tenant) {
+		snap.Tenant = ""
+	}
+	return snap
 }
 
 // audit records a management-plane action when a plane is attached.

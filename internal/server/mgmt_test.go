@@ -399,7 +399,7 @@ func TestAuditEndpointRecordsActions(t *testing.T) {
 	json.Unmarshal(body, &snap)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, err := mgr.Wait(ctx, snap.ID); err != nil {
+	if _, err := waitJob(ctx, mgr, snap.ID); err != nil {
 		t.Fatal(err)
 	}
 
@@ -451,7 +451,7 @@ func TestListPagingAndTenantScope(t *testing.T) {
 		json.Unmarshal(body, &snap)
 		ids[snap.Tenant] = append(ids[snap.Tenant], snap.ID)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		if _, err := mgr.Wait(ctx, snap.ID); err != nil {
+		if _, err := waitJob(ctx, mgr, snap.ID); err != nil {
 			t.Fatal(err)
 		}
 		cancel()
@@ -506,10 +506,31 @@ func TestListPagingAndTenantScope(t *testing.T) {
 // key, operator or reader, gets a 404 (not a 403, which would leak
 // existence), while the owner and an admin key retain full access.
 func TestCrossTenantJobIsolation(t *testing.T) {
-	ts, mgr, mg := mgmtServer(t, true, jobs.Options{
+	stateDir, storeDir := t.TempDir(), t.TempDir()
+	st, err := store.Open(storeDir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Seed 78's job holds until gate closes, so a second submit of its
+	// spec attaches to the live job.
+	gate := make(chan struct{})
+	runner := func(ctx context.Context, rc jobs.RunContext, spec config.Spec) (json.RawMessage, error) {
+		if spec.MC.Seed == 78 {
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return json.RawMessage(`{"answer": 42}`), nil
+	}
+	opt := jobs.Options{
 		MaxQueued: 16,
-		Runners:   map[string]jobs.Runner{config.KindReliability: instantRunner(nil)},
-	})
+		Store:     st,
+		Dir:       stateDir,
+		Runners:   map[string]jobs.Runner{config.KindReliability: runner},
+	}
+	ts, mgr, mg := mgmtServer(t, true, opt)
 	_, adminTok, err := mg.Keys().Create("ops", mgmt.RoleAdmin)
 	if err != nil {
 		t.Fatal(err)
@@ -528,7 +549,7 @@ func TestCrossTenantJobIsolation(t *testing.T) {
 	json.Unmarshal(body, &snap)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, err := mgr.Wait(ctx, snap.ID); err != nil {
+	if _, err := waitJob(ctx, mgr, snap.ID); err != nil {
 		t.Fatal(err)
 	}
 
@@ -569,6 +590,88 @@ func TestCrossTenantJobIsolation(t *testing.T) {
 	if resp, body := doAuth(t, http.MethodDelete, ts.URL+"/v1/jobs/"+snap.ID, acmeTok, ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("owner cancel: %d %s", resp.StatusCode, body)
 	}
+
+	// reads checks status and result of a job as one key: 200 and a body
+	// that names acme only to acme and admins, or 404.
+	reads := func(base, jobID, tok string, want int) {
+		t.Helper()
+		for _, path := range []string{"/v1/jobs/" + jobID, "/v1/jobs/" + jobID + "/result"} {
+			resp, body := doAuth(t, http.MethodGet, base+path, tok, "")
+			if resp.StatusCode != want {
+				t.Fatalf("GET %s: %d %s, want %d", path, resp.StatusCode, body, want)
+			}
+			if tok != acmeTok && tok != adminTok && strings.Contains(string(body), "acme") {
+				t.Fatalf("GET %s leaks the owner's name: %s", path, body)
+			}
+		}
+	}
+	submit := func(base, tok string, seed uint64, want int) jobs.Snapshot {
+		t.Helper()
+		resp, body := doAuth(t, http.MethodPost, base+"/v1/jobs", tok, specBody(seed))
+		if resp.StatusCode != want {
+			t.Fatalf("submit %d: %d %s, want %d", seed, resp.StatusCode, body, want)
+		}
+		if tok != acmeTok && strings.Contains(string(body), "acme") {
+			t.Fatalf("submit %d leaks the owner's name: %s", seed, body)
+		}
+		var snap jobs.Snapshot
+		json.Unmarshal(body, &snap)
+		return snap
+	}
+	thirdTok := mintKey(t, ts.URL, adminTok, "third", "operator")
+
+	// A second tenant whose submit attaches to the live job of the same
+	// spec reads it too; a tenant that never submitted it does not, and
+	// only the first submitter may cancel it.
+	live := submit(ts.URL, acmeTok, 78, http.StatusAccepted)
+	submit(ts.URL, otherTok, 78, http.StatusAccepted)
+	if resp, body := doAuth(t, http.MethodDelete, ts.URL+"/v1/jobs/"+live.ID, otherTok, ""); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("co-submitter cancel: %d %s, want 404", resp.StatusCode, body)
+	}
+	close(gate)
+	if _, err := waitJob(ctx, mgr, live.ID); err != nil {
+		t.Fatal(err)
+	}
+	reads(ts.URL, live.ID, acmeTok, http.StatusOK)
+	reads(ts.URL, live.ID, otherTok, http.StatusOK)
+	reads(ts.URL, live.ID, thirdTok, http.StatusNotFound)
+	resp, body = doAuth(t, http.MethodGet, ts.URL+"/v1/jobs", otherTok, "")
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), live.ID) || strings.Contains(string(body), snap.ID) {
+		t.Fatalf("co-submitter list: %d %s", resp.StatusCode, body)
+	}
+
+	// Restart over the same state dir: the job records are gone, the
+	// results are not. A keyed resubmit is a cache hit that every tenant
+	// which submitted the spec can read, and no other tenant can.
+	if err := mgr.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if opt.Store, err = store.Open(storeDir, store.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	opt.Quota, opt.TenantWeight = mg.AdmitSubmit, mg.TenantWeight
+	mgr2, err := jobs.NewManager(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mgr2.Drain(context.Background()) })
+	srv2, err := New(Options{Manager: mgr2, Metrics: metrics.NewRegistry(), Mgmt: mg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(srv2)
+	t.Cleanup(ts2.Close)
+
+	reads(ts2.URL, snap.ID, acmeTok, http.StatusNotFound)
+	submit(ts2.URL, acmeTok, 77, http.StatusOK)
+	reads(ts2.URL, snap.ID, acmeTok, http.StatusOK)
+	reads(ts2.URL, snap.ID, otherTok, http.StatusNotFound)
+	submit(ts2.URL, acmeTok, 78, http.StatusOK)
+	submit(ts2.URL, otherTok, 78, http.StatusOK)
+	for _, tok := range []string{acmeTok, otherTok, adminTok} {
+		reads(ts2.URL, live.ID, tok, http.StatusOK)
+	}
+	reads(ts2.URL, live.ID, thirdTok, http.StatusNotFound)
 }
 
 // TestMgmtHandlerSurface sweeps the remaining management endpoints:

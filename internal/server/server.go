@@ -246,13 +246,14 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		outcome = "cache"
 	}
 	s.audit(id, mgmt.VerbSubmit, snap.ID, outcome, snap.Kind)
-	writeJSON(w, status, snap)
+	writeJSON(w, status, forCaller(id, snap))
 }
 
 // list serves the job index with optional paging and filtering:
 // ?limit=N caps the (newest-first) result, ?since=<RFC3339|unix-ms>
-// keeps jobs submitted after the mark, ?tenant= filters by tenant.
-// Non-admin callers only ever see their own tenant's jobs.
+// keeps jobs submitted after the mark, ?tenant= filters by the tenants
+// that submitted each job. Non-admin callers only ever see the jobs
+// their own tenant submitted.
 func (s *Server) list(w http.ResponseWriter, r *http.Request) {
 	id, ok := s.authorize(w, r, mgmt.VerbRead)
 	if !ok {
@@ -286,13 +287,13 @@ func (s *Server) list(w http.ResponseWriter, r *http.Request) {
 	all := s.mgr.List()
 	out := make([]jobs.Snapshot, 0, len(all))
 	for _, snap := range all {
-		if tenantSet && snap.Tenant != tenant {
+		if tenantSet && snap.Tenant != tenant && !s.mgr.SubmittedBy(snap.ID, tenant) {
 			continue
 		}
 		if !since.IsZero() && !snap.SubmittedAt.After(since) {
 			continue
 		}
-		out = append(out, snap)
+		out = append(out, forCaller(id, snap))
 		if limit > 0 && len(out) == limit {
 			break
 		}
@@ -302,17 +303,17 @@ func (s *Server) list(w http.ResponseWriter, r *http.Request) {
 
 // jobForCaller resolves a by-ID job reference under tenant scoping:
 // non-admin callers only ever reach jobs their own tenant submitted.
-// A job owned elsewhere answers 404 — not 403 — because job IDs are
+// Any other job answers 404 — not 403 — because job IDs are
 // content-addressed (deterministic from the spec) and therefore
 // guessable without list access; a 403 would leak the cross-tenant
 // existence that list() deliberately hides.
 func (s *Server) jobForCaller(w http.ResponseWriter, id mgmt.Identity, jobID string) (jobs.Snapshot, bool) {
 	snap, err := s.mgr.Get(jobID)
-	if err != nil || !callerOwns(id, snap.Tenant) {
+	if err != nil || !s.callerSubmitted(id, snap) {
 		writeError(w, http.StatusNotFound, "%v", jobs.ErrNotFound)
 		return jobs.Snapshot{}, false
 	}
-	return snap, true
+	return forCaller(id, snap), true
 }
 
 func (s *Server) status(w http.ResponseWriter, r *http.Request) {
@@ -332,8 +333,11 @@ func (s *Server) cancel(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	// Only the job's owner (its first submitter) may cancel it; to any
+	// other non-admin tenant it answers 404, as in jobForCaller.
 	jobID := r.PathValue("id")
-	if _, ok := s.jobForCaller(w, id, jobID); !ok {
+	if snap, err := s.mgr.Get(jobID); err != nil || !callerOwns(id, snap.Tenant) {
+		writeError(w, http.StatusNotFound, "%v", jobs.ErrNotFound)
 		return
 	}
 	err := s.mgr.Cancel(jobID)
@@ -358,7 +362,7 @@ func (s *Server) result(w http.ResponseWriter, r *http.Request) {
 	jobID := r.PathValue("id")
 	snap, err := s.mgr.Get(jobID)
 	known := err == nil
-	if known && !callerOwns(id, snap.Tenant) {
+	if known && !s.callerSubmitted(id, snap) {
 		writeError(w, http.StatusNotFound, "%v", jobs.ErrNotFound)
 		return
 	}

@@ -112,7 +112,7 @@ func TestSubmitStatusResult(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, err := mgr.Wait(ctx, snap.ID); err != nil {
+	if _, err := waitJob(ctx, mgr, snap.ID); err != nil {
 		t.Fatal(err)
 	}
 
@@ -146,7 +146,7 @@ func TestCacheHitReturns200(t *testing.T) {
 	json.Unmarshal(body, &first)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	mgr.Wait(ctx, first.ID)
+	waitJob(ctx, mgr, first.ID)
 
 	resp, body := post(t, ts.URL+"/v1/jobs", specBody(2))
 	if resp.StatusCode != http.StatusOK {
@@ -235,7 +235,7 @@ func TestCancelEndpoint(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	final, err := mgr.Wait(ctx, snap.ID)
+	final, err := waitJob(ctx, mgr, snap.ID)
 	if err != nil || final.State != jobs.StateCanceled {
 		t.Fatalf("after cancel: %+v, %v", final, err)
 	}
@@ -276,7 +276,7 @@ func TestResultOfRunningJobConflicts(t *testing.T) {
 func TestEventStream(t *testing.T) {
 	attached := make(chan struct{}) // closed once the stream is connected
 	runner := func(ctx context.Context, rc jobs.RunContext, spec config.Spec) (json.RawMessage, error) {
-		rc.Metrics.Counter("test_progress_total", "test").Add(7)
+		rc.Metrics.Counter("test_progress_total", "test").Inc()
 		<-attached
 		rc.Progress("halfway there")
 		time.Sleep(60 * time.Millisecond) // let a sample tick fire
@@ -480,5 +480,21 @@ func TestHealthzAndMetricsMounted(t *testing.T) {
 	resp, _ = post(t, ts.URL+"/v1/jobs", specBody(9))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit while draining: %d, want 503", resp.StatusCode)
+	}
+}
+
+// waitJob polls until the job comes to rest (terminal or interrupted)
+// or ctx expires.
+func waitJob(ctx context.Context, mgr *jobs.Manager, id string) (jobs.Snapshot, error) {
+	for {
+		snap, err := mgr.Get(id)
+		if err != nil || snap.State.Terminal() || snap.State == jobs.StateInterrupted {
+			return snap, err
+		}
+		select {
+		case <-ctx.Done():
+			return jobs.Snapshot{}, ctx.Err()
+		case <-time.After(5 * time.Millisecond):
+		}
 	}
 }

@@ -50,16 +50,6 @@ type Timer struct {
 	at  Time
 }
 
-// At returns the time the timer was scheduled for. It stays valid after
-// the event fires or is cancelled.
-func (t Timer) At() Time { return t.at }
-
-// Active reports whether the event is still pending: not yet fired, not
-// cancelled. During the event's own callback it already reports false.
-func (t Timer) Active() bool {
-	return t.e != nil && t.e.gen == t.gen && t.e.pos >= 0
-}
-
 // Kernel owns the clock and the future event list. It is not safe for
 // concurrent use: a simulation is a single logical thread of control, which
 // keeps runs deterministic and reproducible.
@@ -253,9 +243,6 @@ func (k *Kernel) Cancel(t Timer) {
 		k.mHeapDepth.Set(float64(k.q.Len()))
 	}
 }
-
-// Pending returns the number of events still queued.
-func (k *Kernel) Pending() int { return k.q.Len() }
 
 // Step executes the next event, advancing the clock. It reports whether an
 // event was executed.

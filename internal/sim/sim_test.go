@@ -271,3 +271,38 @@ func BenchmarkKernelThroughput(b *testing.B) {
 	b.ResetTimer()
 	k.Run(0)
 }
+
+// At returns the time the timer was scheduled for. It stays valid after
+// the event fires or is cancelled.
+func (t Timer) At() Time { return t.at }
+
+// Active reports whether the event is still pending: not yet fired, not
+// cancelled. During the event's own callback it already reports false.
+func (t Timer) Active() bool {
+	return t.e != nil && t.e.gen == t.gen && t.e.pos >= 0
+}
+
+// Pending returns the number of events still queued.
+func (k *Kernel) Pending() int { return k.q.Len() }
+
+// Up reports whether the entity is currently up.
+func (t *UpDownTracker) Up() bool { return t.up }
+
+// UpTime returns the accumulated up time including the current interval.
+func (t *UpDownTracker) UpTime() Time {
+	t.accumulate()
+	return t.upTime
+}
+
+// DownTime returns the accumulated down time including the current interval.
+func (t *UpDownTracker) DownTime() Time {
+	t.accumulate()
+	return t.downTime
+}
+
+// Flips returns the number of state changes.
+func (t *UpDownTracker) Flips() int { return t.flips }
+
+// FirstDown returns the time of the first down transition and whether the
+// entity has ever gone down.
+func (t *UpDownTracker) FirstDown() (Time, bool) { return t.firstDown, t.wentDownSet }

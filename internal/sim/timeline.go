@@ -21,9 +21,6 @@ func NewUpDownTracker(k *Kernel) *UpDownTracker {
 	return &UpDownTracker{k: k, up: true, lastFlip: k.Now(), firstDown: End}
 }
 
-// Up reports whether the entity is currently up.
-func (t *UpDownTracker) Up() bool { return t.up }
-
 // SetUp transitions the entity to up/down, accumulating elapsed time in the
 // previous state. Redundant transitions are no-ops.
 func (t *UpDownTracker) SetUp(up bool) {
@@ -59,22 +56,3 @@ func (t *UpDownTracker) Availability() float64 {
 	}
 	return float64(t.upTime / total)
 }
-
-// UpTime returns the accumulated up time including the current interval.
-func (t *UpDownTracker) UpTime() Time {
-	t.accumulate()
-	return t.upTime
-}
-
-// DownTime returns the accumulated down time including the current interval.
-func (t *UpDownTracker) DownTime() Time {
-	t.accumulate()
-	return t.downTime
-}
-
-// Flips returns the number of state changes.
-func (t *UpDownTracker) Flips() int { return t.flips }
-
-// FirstDown returns the time of the first down transition and whether the
-// entity has ever gone down.
-func (t *UpDownTracker) FirstDown() (Time, bool) { return t.firstDown, t.wentDownSet }

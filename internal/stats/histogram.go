@@ -46,23 +46,6 @@ func (h *Histogram) Add(x float64) {
 	}
 }
 
-// N returns the number of observations.
-func (h *Histogram) N() int { return h.total }
-
-// Mean returns the running mean of all observations.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// Bin returns the count of bin i.
-func (h *Histogram) Bin(i int) int { return h.bins[i] }
-
-// OutOfRange returns the underflow and overflow counts.
-func (h *Histogram) OutOfRange() (under, over int) { return h.under, h.over }
-
 // String renders the histogram with proportional bars.
 func (h *Histogram) String() string {
 	var b strings.Builder

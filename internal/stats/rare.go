@@ -48,14 +48,6 @@ func (s *LogSum) Log() float64 {
 	return s.max + math.Log(s.sum)
 }
 
-// LogMean returns log((1/n)·Σ exp(l_i)); -Inf with no observations.
-func (s *LogSum) LogMean() float64 {
-	if s.n == 0 {
-		return math.Inf(-1)
-	}
-	return s.Log() - math.Log(float64(s.n))
-}
-
 // LogWeights tallies the likelihood ratios of an importance-sampling run
 // in the log domain: the weight sum and sum of squares (for the effective
 // sample size diagnostic) and the extreme log-weights an operator watches
@@ -83,9 +75,6 @@ func (w *LogWeights) Add(logw float64) {
 
 // N returns the number of weights recorded.
 func (w *LogWeights) N() int { return w.sum.N() }
-
-// LogSumW returns log Σ W_i.
-func (w *LogWeights) LogSumW() float64 { return w.sum.Log() }
 
 // ESS returns Kish's effective sample size (Σ W)² / Σ W², the standard
 // importance-sampling health diagnostic: n when all weights are equal,
@@ -120,15 +109,6 @@ func (r *Ratio) Add(x, y float64) {
 	r.cyy += dy * (y - r.my)
 	r.cxy += dx * (y - r.my)
 }
-
-// N returns the number of pairs.
-func (r *Ratio) N() int { return r.n }
-
-// MeanX returns the sample mean of the numerator observations.
-func (r *Ratio) MeanX() float64 { return r.mx }
-
-// MeanY returns the sample mean of the denominator observations.
-func (r *Ratio) MeanY() float64 { return r.my }
 
 // Estimate returns x̄/ȳ (0 when no mass has been observed).
 func (r *Ratio) Estimate() float64 {

@@ -156,3 +156,14 @@ func TestWelfordRelHalfWidth(t *testing.T) {
 		t.Fatal("zero-mean Welford must report +Inf relative error")
 	}
 }
+
+// LogMean returns log((1/n)·Σ exp(l_i)); -Inf with no observations.
+func (s *LogSum) LogMean() float64 {
+	if s.n == 0 {
+		return math.Inf(-1)
+	}
+	return s.Log() - math.Log(float64(s.n))
+}
+
+// N returns the number of pairs.
+func (r *Ratio) N() int { return r.n }

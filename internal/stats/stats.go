@@ -106,30 +106,6 @@ type TimeWeighted struct {
 	started bool
 }
 
-// Set records that the signal takes value v from time t onward.
-func (tw *TimeWeighted) Set(t, v float64) {
-	if !tw.started {
-		tw.started = true
-		tw.began = t
-	} else {
-		if t < tw.lastT {
-			panic("stats: time went backwards")
-		}
-		tw.area += tw.last * (t - tw.lastT)
-	}
-	tw.last = v
-	tw.lastT = t
-}
-
-// Average returns the time-weighted average over [begin, t].
-func (tw *TimeWeighted) Average(t float64) float64 {
-	if !tw.started || t <= tw.began {
-		return 0
-	}
-	area := tw.area + tw.last*(t-tw.lastT)
-	return area / (t - tw.began)
-}
-
 // Nines returns the number of consecutive leading nines after the decimal
 // point of an availability value in [0, 1): the paper's 9^x notation
 // (0.9999 → 4). Values ≥ 1 return the cap; values < 0.9 return 0. cap

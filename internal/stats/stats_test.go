@@ -244,3 +244,27 @@ func TestWelfordCITiny(t *testing.T) {
 		t.Fatal("CI must never be NaN")
 	}
 }
+
+// Set records that the signal takes value v from time t onward.
+func (tw *TimeWeighted) Set(t, v float64) {
+	if !tw.started {
+		tw.started = true
+		tw.began = t
+	} else {
+		if t < tw.lastT {
+			panic("stats: time went backwards")
+		}
+		tw.area += tw.last * (t - tw.lastT)
+	}
+	tw.last = v
+	tw.lastT = t
+}
+
+// Average returns the time-weighted average over [begin, t].
+func (tw *TimeWeighted) Average(t float64) float64 {
+	if !tw.started || t <= tw.began {
+		return 0
+	}
+	area := tw.area + tw.last*(t-tw.lastT)
+	return area / (t - tw.began)
+}

@@ -323,12 +323,6 @@ func (s *Store) Has(key string) bool {
 	return ok
 }
 
-// Delete removes an object; deleting a missing key is a no-op.
-func (s *Store) Delete(key string) {
-	s.drop(key)
-	os.Remove(s.path(key))
-}
-
 // Len returns the number of stored objects.
 func (s *Store) Len() int {
 	s.mu.Lock()

@@ -219,19 +219,6 @@ func TestLRUEvictionRespectsBudget(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	s := open(t, t.TempDir(), Options{})
-	k := key("del")
-	if err := s.Put(k, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	s.Delete(k)
-	if s.Has(k) || s.Len() != 0 || s.Bytes() != 0 {
-		t.Fatal("Delete left state behind")
-	}
-	s.Delete(k) // idempotent
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	s := open(t, t.TempDir(), Options{MaxBytes: 10_000, HotBytes: 2_000})
 	var wg sync.WaitGroup

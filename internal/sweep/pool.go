@@ -8,8 +8,6 @@ package sweep
 // unbounded goroutine growth.
 
 import (
-	"context"
-	"fmt"
 	"runtime"
 	"sync"
 )
@@ -57,28 +55,6 @@ func (p *Pool) idle() func() {
 
 // InFlight returns the number of currently occupied slots.
 func (p *Pool) InFlight() int { return len(p.slots) }
-
-// Go runs fn on its own goroutine once a worker slot frees, blocking
-// until then (or until ctx is cancelled). A panicking fn releases its
-// slot and is reported as an error to no one — callers that care wrap
-// fn with their own recovery; the pool only guarantees it survives.
-func (p *Pool) Go(ctx context.Context, fn func()) error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return fmt.Errorf("sweep: pool is closed")
-	}
-	p.wg.Add(1)
-	p.mu.Unlock()
-	select {
-	case p.slots <- struct{}{}:
-	case <-ctx.Done():
-		p.wg.Done()
-		return ctx.Err()
-	}
-	go p.run(fn)
-	return nil
-}
 
 // TryGo is Go without the wait: it returns false when no slot is free
 // or the pool is closed.

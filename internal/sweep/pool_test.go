@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -108,4 +109,26 @@ func TestPoolSurvivesPanic(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("slot leaked by panicking task")
 	}
+}
+
+// Go runs fn on its own goroutine once a worker slot frees, blocking
+// until then (or until ctx is cancelled). A panicking fn releases its
+// slot and is reported as an error to no one — callers that care wrap
+// fn with their own recovery; the pool only guarantees it survives.
+func (p *Pool) Go(ctx context.Context, fn func()) error {
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return fmt.Errorf("sweep: pool is closed")
+	}
+	p.wg.Add(1)
+	p.mu.Unlock()
+	select {
+	case p.slots <- struct{}{}:
+	case <-ctx.Done():
+		p.wg.Done()
+		return ctx.Err()
+	}
+	go p.run(fn)
+	return nil
 }

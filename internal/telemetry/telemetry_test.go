@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/metrics"
@@ -290,7 +292,10 @@ func TestEvictedSeriesDocLoadsEmpty(t *testing.T) {
 	if err := h.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	st.Delete(seriesKey("j"))
+	key := seriesKey("j")
+	if err := os.Remove(filepath.Join(dir, "objects", key[:2], key)); err != nil {
+		t.Fatal(err)
+	}
 
 	st2, _ := store.Open(dir, store.Options{})
 	h2 := newTestHub(t, Options{Store: st2})

@@ -133,15 +133,6 @@ func New(spec Spec, n int) (*Graph, error) {
 	return g, nil
 }
 
-// MustNew is New for statically valid specs (tests, examples).
-func MustNew(spec Spec, n int) *Graph {
-	g, err := New(spec, n)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // buildCrossbar wires one independent data link per endpoint pair.
 func buildCrossbar(n int) plane {
 	p := plane{shape: shapeDirect}
@@ -289,15 +280,6 @@ func (g *Graph) nodeName(pl Plane, v int32) string {
 	}
 }
 
-// Kind returns the topology kind.
-func (g *Graph) Kind() Kind { return g.kind }
-
-// Spec returns the normalized spec the graph was built from.
-func (g *Graph) Spec() Spec { return g.spec }
-
-// Endpoints returns the endpoint (linecard) count.
-func (g *Graph) Endpoints() int { return g.n }
-
 // Version counts interior health mutations — the cache-invalidation key
 // derived predicates (router.CanDeliverCached) fold into theirs. The
 // bus topology's version never changes.
@@ -374,13 +356,6 @@ func (g *Graph) FailedUnitsAppend(buf []int) []int {
 		}
 	}
 	return buf
-}
-
-// RepairAllUnits restores every failed interior unit.
-func (g *Graph) RepairAllUnits() {
-	for u := range g.units {
-		g.RepairUnit(u)
-	}
 }
 
 func (g *Graph) checkEndpoint(i int) {

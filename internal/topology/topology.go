@@ -142,9 +142,6 @@ type Spec struct {
 	K int `json:"k,omitempty"`
 }
 
-// IsBus reports whether the spec selects the default bus world.
-func (s Spec) IsBus() bool { return strings.EqualFold(s.Kind, "bus") || s.Kind == "" }
-
 // Validate rejects malformed or contradictory specs for a router of n
 // endpoints. Errors are *FieldError values naming the offending field
 // relative to the spec ("kind", "rows", ...).

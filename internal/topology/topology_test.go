@@ -422,3 +422,25 @@ func TestAllocFreeQueries(t *testing.T) {
 		t.Fatalf("memo rebuild allocates: %v allocs/op", allocs)
 	}
 }
+
+// MustNew is New for statically valid specs (tests, examples).
+func MustNew(spec Spec, n int) *Graph {
+	g, err := New(spec, n)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// Endpoints returns the endpoint (linecard) count.
+func (g *Graph) Endpoints() int { return g.n }
+
+// RepairAllUnits restores every failed interior unit.
+func (g *Graph) RepairAllUnits() {
+	for u := range g.units {
+		g.RepairUnit(u)
+	}
+}
+
+// Kind returns the topology kind.
+func (g *Graph) Kind() Kind { return g.kind }

@@ -175,17 +175,6 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// Filter returns retained events matching the predicate, oldest-first.
-func (r *Recorder) Filter(keep func(Event) bool) []Event {
-	var out []Event
-	for _, e := range r.Events() {
-		if keep(e) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Dump renders the retained events one per line, ordered by timestamp
 // with recording order (Seq) breaking ties — a stable order even when
 // delayed callbacks record out of time order.

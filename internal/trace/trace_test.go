@@ -139,3 +139,14 @@ func TestNewPanicsOnZeroCapacity(t *testing.T) {
 	}()
 	New(0)
 }
+
+// Filter returns retained events matching the predicate, oldest-first.
+func (r *Recorder) Filter(keep func(Event) bool) []Event {
+	var out []Event
+	for _, e := range r.Events() {
+		if keep(e) {
+			out = append(out, e)
+		}
+	}
+	return out
+}

@@ -1,9 +1,8 @@
 // Package workload generates the synthetic traffic used by the executable
 // router model. The paper's performance analysis assumes uniform loads L
 // in [0.15, 0.7] of each LC's capacity, citing measured Internet link
-// utilizations; these generators realize that assumption as packet
-// processes (Poisson and CBR) and an on-off process for burstier
-// ablations.
+// utilizations; the Poisson generator realizes that assumption as a
+// packet process.
 package workload
 
 import (
@@ -21,8 +20,6 @@ type Generator interface {
 	// packet comes from the packet pool: ownership transfers to the
 	// caller, which must packet.Release it when its journey ends.
 	Next() (dt float64, p *packet.Packet)
-	// Rate returns the long-run offered load in bits per time unit.
-	Rate() float64
 }
 
 // AddrPool draws destination addresses that are guaranteed to resolve via
@@ -59,10 +56,6 @@ func (a *AddrPool) Draw() uint32 {
 		return PrefixFor(lc) | host
 	}
 }
-
-// EgressOf returns the egress LC owning addr under the AddrPool scheme,
-// for assertions in tests.
-func EgressOf(addr uint32) int { return int(addr>>24) - 10 }
 
 // PacketSize models a simple trimodal Internet packet-size mix: 40-byte
 // minimum (ACKs), 576-byte, and 1500-byte MTU packets in roughly the
@@ -113,9 +106,6 @@ func NewPoisson(rng *xrand.Source, pool *AddrPool, srcLC int, proto packet.Proto
 	}, nil
 }
 
-// Rate implements Generator.
-func (g *Poisson) Rate() float64 { return g.bitsPS }
-
 // Next implements Generator.
 func (g *Poisson) Next() (float64, *packet.Packet) {
 	dt := g.rng.Exp(g.pktPS)
@@ -128,85 +118,6 @@ func (g *Poisson) Next() (float64, *packet.Packet) {
 	p.Proto = g.proto
 	p.Bytes = PacketSize(g.rng)
 	return dt, p
-}
-
-// CBR is a constant-bit-rate generator: fixed-size packets at fixed
-// spacing. Deterministic arrivals make conservation tests exact.
-type CBR struct {
-	rng    *xrand.Source
-	pool   *AddrPool
-	srcLC  int
-	proto  packet.Protocol
-	bitsPS float64
-	bytes  int
-	nextID *uint64
-}
-
-// NewCBR creates a CBR generator with the given packet size in bytes.
-func NewCBR(rng *xrand.Source, pool *AddrPool, srcLC int, proto packet.Protocol, bitsPerUnit float64, pktBytes int, ids *uint64) (*CBR, error) {
-	if bitsPerUnit <= 0 || pktBytes <= 0 {
-		return nil, fmt.Errorf("workload: CBR needs positive rate and packet size")
-	}
-	return &CBR{rng: rng, pool: pool, srcLC: srcLC, proto: proto, bitsPS: bitsPerUnit, bytes: pktBytes, nextID: ids}, nil
-}
-
-// Rate implements Generator.
-func (g *CBR) Rate() float64 { return g.bitsPS }
-
-// Next implements Generator.
-func (g *CBR) Next() (float64, *packet.Packet) {
-	dt := float64(g.bytes*8) / g.bitsPS
-	*g.nextID++
-	p := packet.Get()
-	p.ID = *g.nextID
-	p.SrcLC = g.srcLC
-	p.DstIP = g.pool.Draw()
-	p.DstLC = -1
-	p.Proto = g.proto
-	p.Bytes = g.bytes
-	return dt, p
-}
-
-// OnOff is a two-state MMPP-style generator: exponential on and off
-// periods; Poisson arrivals at peak rate during on periods. Its long-run
-// rate is peak·on/(on+off).
-type OnOff struct {
-	rng      *xrand.Source
-	inner    *Poisson
-	onMean   float64
-	offMean  float64
-	inOn     bool
-	leftInOn float64
-}
-
-// NewOnOff wraps a Poisson generator that fires only during on periods.
-// meanOn and meanOff are the mean sojourn times of the two states.
-func NewOnOff(rng *xrand.Source, peak *Poisson, meanOn, meanOff float64) (*OnOff, error) {
-	if meanOn <= 0 || meanOff < 0 {
-		return nil, fmt.Errorf("workload: on/off periods must be positive")
-	}
-	return &OnOff{rng: rng, inner: peak, onMean: meanOn, offMean: meanOff, inOn: true, leftInOn: rng.Exp(1 / meanOn)}, nil
-}
-
-// Rate implements Generator.
-func (g *OnOff) Rate() float64 {
-	return g.inner.Rate() * g.onMean / (g.onMean + g.offMean)
-}
-
-// Next implements Generator.
-func (g *OnOff) Next() (float64, *packet.Packet) {
-	elapsed := 0.0
-	for {
-		dt, p := g.inner.Next()
-		if dt <= g.leftInOn {
-			g.leftInOn -= dt
-			return elapsed + dt, p
-		}
-		// The on period expires before the arrival: burn the remaining
-		// on time, a whole off period, and start a new on period.
-		elapsed += g.leftInOn + g.rng.Exp(1/g.offMean)
-		g.leftInOn = g.rng.Exp(1 / g.onMean)
-	}
 }
 
 // Routes returns the route set matching the AddrPool addressing scheme for

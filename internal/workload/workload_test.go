@@ -102,72 +102,6 @@ func TestPoissonValidation(t *testing.T) {
 	}
 }
 
-func TestCBRDeterministicSpacing(t *testing.T) {
-	rng := xrand.New(4)
-	pool := NewAddrPool(rng, 3, -1)
-	var ids uint64
-	g, err := NewCBR(rng, pool, 1, packet.ProtoSONET, 1e9, 1250, &ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDT := float64(1250*8) / 1e9
-	for i := 0; i < 100; i++ {
-		dt, p := g.Next()
-		if dt != wantDT {
-			t.Fatalf("dt = %g, want %g", dt, wantDT)
-		}
-		if p.Bytes != 1250 {
-			t.Fatalf("bytes = %d", p.Bytes)
-		}
-	}
-	if g.Rate() != 1e9 {
-		t.Fatalf("Rate = %g", g.Rate())
-	}
-}
-
-func TestCBRValidation(t *testing.T) {
-	rng := xrand.New(1)
-	pool := NewAddrPool(rng, 2, -1)
-	var ids uint64
-	if _, err := NewCBR(rng, pool, 0, packet.ProtoATM, 1, 0, &ids); err == nil {
-		t.Fatal("zero packet size accepted")
-	}
-}
-
-func TestOnOffLongRunRate(t *testing.T) {
-	rng := xrand.New(5)
-	pool := NewAddrPool(rng, 4, -1)
-	var ids uint64
-	peak, _ := NewPoisson(rng, pool, 0, packet.ProtoEthernet, 2e9, &ids)
-	g, err := NewOnOff(rng, peak, 0.001, 0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Rate() != 1e9 {
-		t.Fatalf("Rate = %g, want duty-cycled 1e9", g.Rate())
-	}
-	elapsed, bits := 0.0, 0.0
-	for i := 0; i < 300000; i++ {
-		dt, p := g.Next()
-		elapsed += dt
-		bits += float64(p.Bytes * 8)
-	}
-	got := bits / elapsed
-	if math.Abs(got-1e9)/1e9 > 0.05 {
-		t.Fatalf("on-off long-run rate = %g, want ~1e9", got)
-	}
-}
-
-func TestOnOffValidation(t *testing.T) {
-	rng := xrand.New(1)
-	pool := NewAddrPool(rng, 2, -1)
-	var ids uint64
-	peak, _ := NewPoisson(rng, pool, 0, packet.ProtoEthernet, 1, &ids)
-	if _, err := NewOnOff(rng, peak, 0, 1); err == nil {
-		t.Fatal("zero on period accepted")
-	}
-}
-
 func TestRoutesCoverAllLCs(t *testing.T) {
 	rs := Routes(5)
 	if len(rs) != 5 {
@@ -179,3 +113,10 @@ func TestRoutesCoverAllLCs(t *testing.T) {
 		}
 	}
 }
+
+// EgressOf returns the egress LC owning addr under the AddrPool scheme,
+// for assertions in tests.
+func EgressOf(addr uint32) int { return int(addr>>24) - 10 }
+
+// Rate implements Generator.
+func (g *Poisson) Rate() float64 { return g.bitsPS }

@@ -138,92 +138,3 @@ func (r *Source) Exp(rate float64) float64 {
 	}
 	return -math.Log(r.Float64Open()) / rate
 }
-
-// Poisson returns a Poisson-distributed variate with the given mean. For
-// small means it uses Knuth's product method; for large means the PTRS
-// transformed-rejection method of Hörmann, which is O(1).
-func (r *Source) Poisson(mean float64) int {
-	switch {
-	case mean <= 0:
-		return 0
-	case mean < 30:
-		return r.poissonKnuth(mean)
-	default:
-		return r.poissonPTRS(mean)
-	}
-}
-
-func (r *Source) poissonKnuth(mean float64) int {
-	limit := math.Exp(-mean)
-	p := 1.0
-	k := 0
-	for {
-		p *= r.Float64Open()
-		if p <= limit {
-			return k
-		}
-		k++
-	}
-}
-
-func (r *Source) poissonPTRS(mean float64) int {
-	b := 0.931 + 2.53*math.Sqrt(mean)
-	a := -0.059 + 0.02483*b
-	invAlpha := 1.1239 + 1.1328/(b-3.4)
-	vr := 0.9277 - 3.6224/(b-2)
-	for {
-		u := r.Float64Open() - 0.5
-		v := r.Float64Open()
-		us := 0.5 - math.Abs(u)
-		k := math.Floor((2*a/us+b)*u + mean + 0.43)
-		if us >= 0.07 && v <= vr {
-			return int(k)
-		}
-		if k < 0 || (us < 0.013 && v > us) {
-			continue
-		}
-		lg, _ := math.Lgamma(k + 1)
-		if math.Log(v*invAlpha/(a/(us*us)+b)) <= k*math.Log(mean)-mean-lg {
-			return int(k)
-		}
-	}
-}
-
-// Geometric returns the number of failures before the first success in a
-// Bernoulli(p) sequence. It panics unless 0 < p <= 1.
-func (r *Source) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("xrand: Geometric called with p outside (0, 1]")
-	}
-	if p == 1 {
-		return 0
-	}
-	return int(math.Floor(math.Log(r.Float64Open()) / math.Log1p(-p)))
-}
-
-// Bernoulli reports true with probability p.
-func (r *Source) Bernoulli(p float64) bool {
-	return r.Float64() < p
-}
-
-// Perm returns a uniformly random permutation of [0, n) using Fisher–Yates.
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle randomizes the order of n elements using the provided swap
-// function, as in math/rand.Shuffle.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

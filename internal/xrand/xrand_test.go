@@ -3,7 +3,6 @@ package xrand
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestReproducibility(t *testing.T) {
@@ -130,77 +129,6 @@ func TestExpPanics(t *testing.T) {
 	New(1).Exp(0)
 }
 
-func TestPoissonMoments(t *testing.T) {
-	r := New(9)
-	for _, mean := range []float64{0.3, 2, 12, 45, 300} {
-		const n = 60000
-		var sum, sumSq float64
-		for i := 0; i < n; i++ {
-			v := float64(r.Poisson(mean))
-			if v < 0 {
-				t.Fatalf("Poisson(%g) negative", mean)
-			}
-			sum += v
-			sumSq += v * v
-		}
-		m := sum / n
-		variance := sumSq/n - m*m
-		tol := 4 * math.Sqrt(mean/float64(n)) * math.Max(1, math.Sqrt(mean))
-		if math.Abs(m-mean) > math.Max(tol, 0.05*mean) {
-			t.Fatalf("Poisson(%g) mean = %g", mean, m)
-		}
-		if math.Abs(variance-mean) > 0.1*mean+0.2 {
-			t.Fatalf("Poisson(%g) variance = %g, want ~%g", mean, variance, mean)
-		}
-	}
-}
-
-func TestPoissonZeroMean(t *testing.T) {
-	if v := New(1).Poisson(0); v != 0 {
-		t.Fatalf("Poisson(0) = %d, want 0", v)
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	r := New(10)
-	p := 0.25
-	const n = 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := r.Geometric(p)
-		if v < 0 {
-			t.Fatal("Geometric negative")
-		}
-		sum += float64(v)
-	}
-	mean := sum / n
-	want := (1 - p) / p
-	if math.Abs(mean-want) > 0.1 {
-		t.Fatalf("Geometric(%g) mean = %g, want ~%g", p, mean, want)
-	}
-}
-
-func TestGeometricOne(t *testing.T) {
-	if v := New(2).Geometric(1); v != 0 {
-		t.Fatalf("Geometric(1) = %d, want 0", v)
-	}
-}
-
-func TestBernoulliFrequency(t *testing.T) {
-	r := New(11)
-	const n = 100000
-	hits := 0
-	for i := 0; i < n; i++ {
-		if r.Bernoulli(0.3) {
-			hits++
-		}
-	}
-	f := float64(hits) / n
-	if math.Abs(f-0.3) > 0.01 {
-		t.Fatalf("Bernoulli(0.3) frequency = %g", f)
-	}
-}
-
 func TestJumpProducesDisjointStream(t *testing.T) {
 	a := New(21)
 	b := New(21)
@@ -226,45 +154,6 @@ func TestSplitIndependence(t *testing.T) {
 	c2 := parent.Split()
 	if c1.Uint64() == c2.Uint64() {
 		t.Fatal("sibling splits produced identical first output")
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(12)
-	f := func(nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := r.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := New(13)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, v := range xs {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed multiset: sum %d -> %d", sum, got)
 	}
 }
 
@@ -294,12 +183,5 @@ func BenchmarkExp(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Exp(2e-5)
-	}
-}
-
-func BenchmarkPoissonLarge(b *testing.B) {
-	r := New(1)
-	for i := 0; i < b.N; i++ {
-		_ = r.Poisson(150)
 	}
 }

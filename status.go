@@ -75,22 +75,3 @@ func sortedKeys(m map[string]uint64) []string {
 	}
 	return keys
 }
-
-// HealthSummary returns the operator one-liner: how many LCs deliver
-// service, and the most degraded LC's failed components.
-func HealthSummary(r *Router) string {
-	up := r.OperationalLCs()
-	worst := -1
-	worstFailed := 0
-	for i := 0; i < r.NumLCs(); i++ {
-		if n := len(r.LC(i).FailedComponents()); n > worstFailed {
-			worstFailed = n
-			worst = i
-		}
-	}
-	if worst < 0 {
-		return fmt.Sprintf("%d/%d linecards in service; no component faults", up, r.NumLCs())
-	}
-	return fmt.Sprintf("%d/%d linecards in service; worst: LC%d with %d failed unit(s)",
-		up, r.NumLCs(), worst, worstFailed)
-}

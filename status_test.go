@@ -21,9 +21,6 @@ func TestSystemReportHealthy(t *testing.T) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
 	}
-	if got := HealthSummary(r); got != "4/4 linecards in service; no component faults" {
-		t.Fatalf("summary = %q", got)
-	}
 }
 
 func TestSystemReportDegraded(t *testing.T) {
@@ -56,10 +53,6 @@ func TestSystemReportDegraded(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
-	}
-	sum := HealthSummary(r)
-	if !strings.Contains(sum, "5/6 linecards in service") {
-		t.Fatalf("summary = %q", sum)
 	}
 }
 
