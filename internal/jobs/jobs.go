@@ -87,6 +87,13 @@ type RunContext struct {
 	// Trace is the job's private event recorder (scenario/chaos jobs
 	// fill it; its Seq stream feeds the progress endpoint too).
 	Trace *trace.Recorder
+	// Workers is how many execution-pool slots the job may use, worked
+	// out at dispatch: the idle slots, its own included, less one for
+	// every job still queued, and at least 1. The Monte-Carlo runners
+	// spread a spec's replications over that many goroutines when the
+	// spec leaves mc.workers at 0. It is 0 outside the manager's pool:
+	// fleet workers build their own RunContext.
+	Workers int
 	// CheckpointPath is where a checkpointing engine persists resumable
 	// state ("" when the manager runs without a state dir). If a file
 	// already exists there the job is a resume: load it and continue.
@@ -174,12 +181,14 @@ func (j *job) submittedBy(tenant string) bool {
 	return j.tenant == tenant || slices.Contains(j.cosubmitters, tenant)
 }
 
-// addSubmitter records a later submit of the job's spec by tenant.
-// Caller holds mu.
-func (j *job) addSubmitter(tenant string) {
-	if !j.submittedBy(tenant) {
-		j.cosubmitters = append(j.cosubmitters, tenant)
+// addSubmitter records a later submit of the job's spec by tenant and
+// reports whether tenant is new to the job. Caller holds mu.
+func (j *job) addSubmitter(tenant string) bool {
+	if j.submittedBy(tenant) {
+		return false
 	}
+	j.cosubmitters = append(j.cosubmitters, tenant)
+	return true
 }
 
 func (j *job) snapshot() Snapshot {

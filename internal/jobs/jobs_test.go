@@ -357,7 +357,7 @@ func TestCancelDuringDispatchHandoff(t *testing.T) {
 	default:
 	}
 
-	m.execute(j, target)
+	m.execute(j, target, 1)
 	final := waitDone(t, m, snap.ID)
 	if final.State != StateCanceled {
 		t.Fatalf("state %s, want canceled", final.State)
@@ -673,5 +673,116 @@ func TestQueueSustains64ConcurrentJobs(t *testing.T) {
 	}
 	if calls.Load() != 64 {
 		t.Fatalf("ran %d jobs, want 64", calls.Load())
+	}
+}
+
+// TestDispatchGrantsIdleSlots: on a 2-slot pool a lone job may use both
+// slots, while a job dispatched next to a running job or ahead of a
+// queued one gets one.
+func TestDispatchGrantsIdleSlots(t *testing.T) {
+	var mu sync.Mutex
+	granted := map[uint64]int{}
+	release := make(chan struct{})
+	const blocker = 2
+	runner := func(ctx context.Context, rc RunContext, spec config.Spec) (json.RawMessage, error) {
+		mu.Lock()
+		granted[spec.MC.Seed] = rc.Workers
+		mu.Unlock()
+		if spec.MC.Seed == blocker {
+			<-release
+		}
+		return json.RawMessage(`{}`), nil
+	}
+	m := newManager(t, Options{Workers: 2, Runners: map[string]Runner{config.KindReliability: runner}})
+	grant := func(seed uint64) int {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		w, ok := granted[seed]
+		if !ok {
+			t.Fatalf("job %d never ran", seed)
+		}
+		return w
+	}
+	submit := func(seed uint64) string {
+		t.Helper()
+		snap, err := m.Submit(mcSpec(seed, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap.ID
+	}
+
+	waitDone(t, m, submit(1))
+	if w := grant(1); w != 2 {
+		t.Fatalf("lone job granted %d slots, want 2", w)
+	}
+
+	running := submit(blocker)
+	waitDone(t, m, submit(3))
+	if w := grant(3); w != 1 {
+		t.Fatalf("job next to a running one granted %d slots, want 1", w)
+	}
+	close(release)
+	waitDone(t, m, running)
+
+	// Hold two jobs in the queue behind a class limit of 0, then lift it:
+	// the first is dispatched while the second still waits.
+	m.ApplyLimits(0, map[string]int{config.KindReliability: 0})
+	first, second := submit(4), submit(5)
+	m.ApplyLimits(0, nil)
+	waitDone(t, m, first)
+	waitDone(t, m, second)
+	if w := grant(4); w != 1 {
+		t.Fatalf("job dispatched ahead of a queued one granted %d slots, want 1", w)
+	}
+}
+
+// TestLateOwnerWriteSkipsSettledJob: an attach's sidecar rewrite that
+// reaches the disk after its job settled writes nothing, so no orphan
+// sidecar outlives unpersist, and a job resubmitted under the same ID
+// keeps its own submitters.
+func TestLateOwnerWriteSkipsSettledJob(t *testing.T) {
+	failing := func(ctx context.Context, rc RunContext, spec config.Spec) (json.RawMessage, error) {
+		return nil, errors.New("boom")
+	}
+	m := newManager(t, Options{Dir: t.TempDir(), Runners: map[string]Runner{config.KindReliability: failing}})
+	snap, err := m.SubmitAs("a", mcSpec(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := waitDone(t, m, snap.ID); s.State != StateFailed {
+		t.Fatalf("state %s, want failed", s.State)
+	}
+	// unpersist runs just after the job settles.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, err := os.Stat(m.pendingPath(snap.ID)); os.IsNotExist(err) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("settled job's pending spec never removed")
+		}
+	}
+	old := m.get(snap.ID)
+	m.mu.Lock()
+	old.addSubmitter("b")
+	m.mu.Unlock()
+	if err := m.writeOwners(old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(m.ownerPath(snap.ID)); !os.IsNotExist(err) {
+		t.Fatalf("settled job's sidecar rewritten (stat err %v)", err)
+	}
+
+	// A resubmit by another tenant queues a new job under the ID.
+	m.ApplyLimits(0, map[string]int{config.KindReliability: 0})
+	if _, err := m.SubmitAs("c", mcSpec(1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.writeOwners(old); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(m.ownerPath(snap.ID)); err != nil || string(data) != "c\n" {
+		t.Fatalf("resubmitted job's sidecar = %q (err %v), want \"c\\n\"", data, err)
 	}
 }

@@ -104,6 +104,12 @@ type Manager struct {
 	probeAt  time.Time
 	probeErr error
 
+	// ownersMu serializes owner-sidecar writes with each other and with
+	// unpersist, so the last write of a job's sidecar names every
+	// submitter recorded before it and none lands after its removal.
+	// Taken before mu, never while holding it.
+	ownersMu sync.Mutex
+
 	submitted  *metrics.CounterVec
 	completed  *metrics.CounterVec
 	cacheHits  *metrics.Counter
@@ -188,14 +194,15 @@ func (m *Manager) recover() error {
 			os.Remove(path)
 			continue
 		}
-		// The owner sidecar restores the submitting tenant, so quota
-		// accounting and fair queueing survive a restart.
-		tenant := ""
+		// The owner sidecar restores the submitters: the owner, so quota
+		// accounting and fair queueing survive a restart, and the
+		// co-submitters, so they keep read access.
+		submitters := []string{""}
 		id := strings.TrimSuffix(e.Name(), ".json")
 		if data, err := os.ReadFile(m.ownerPath(id)); err == nil {
-			tenant = strings.TrimSpace(string(data))
+			submitters = strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
 		}
-		snap, err := m.SubmitAs(tenant, spec)
+		snap, err := m.submit(spec, submitters)
 		if err != nil {
 			continue
 		}
@@ -233,6 +240,14 @@ func (m *Manager) Submit(spec config.Spec) (Snapshot, error) {
 // refusals. Deduplicated and cached submissions never charge the
 // tenant's quota — an idempotent retry is free.
 func (m *Manager) SubmitAs(tenant string, spec config.Spec) (Snapshot, error) {
+	return m.submit(spec, []string{tenant})
+}
+
+// submit is SubmitAs on behalf of one or more submitters: the first is
+// the tenant charged for a new job, and every one of them may read it.
+// Recovery passes a pending job's persisted submitters this way.
+func (m *Manager) submit(spec config.Spec, submitters []string) (Snapshot, error) {
+	tenant := submitters[0]
 	id, err := spec.JobID()
 	if err != nil {
 		return Snapshot{}, err
@@ -244,15 +259,27 @@ func (m *Manager) SubmitAs(tenant string, spec config.Spec) (Snapshot, error) {
 	m.mu.Lock()
 	if j, ok := m.jobs[id]; ok && !j.state.Terminal() {
 		// Identical spec already queued or running: attach, don't rerun.
-		j.addSubmitter(tenant)
+		added := false
+		for _, t := range submitters {
+			added = j.addSubmitter(t) || added
+		}
 		snap := j.snapshot()
 		m.mu.Unlock()
+		if added {
+			// A new reader keeps its access across a restart.
+			if err := m.writeOwners(j); err != nil {
+				m.publish(j, "warning: submitters not persisted: "+err.Error())
+			}
+		}
 		return snap, nil
 	}
 	if m.opt.Store.Has(id) {
 		// Content-addressed hit: the computation already happened —
 		// possibly in a previous process. Serve the stored result.
 		j := m.cachedJob(id, spec, tenant)
+		for _, t := range submitters[1:] {
+			j.addSubmitter(t)
+		}
 		snap := j.snapshot()
 		m.cacheHits.Inc()
 		recovering := m.recovering
@@ -297,6 +324,9 @@ func (m *Manager) SubmitAs(tenant string, spec config.Spec) (Snapshot, error) {
 		reg:       metrics.NewRegistry(),
 		rec:       trace.New(traceCapacity),
 		done:      make(chan struct{}),
+	}
+	for _, t := range submitters[1:] {
+		j.addSubmitter(t)
 	}
 	m.jobs[id] = j
 	m.queue.push(j)
@@ -426,7 +456,8 @@ func (m *Manager) dispatch() {
 		decTenantLocked(m.queuedT, j.tenant)
 		m.running[j.kind]++
 		m.runningT[j.tenant]++
-		ok := m.pool.TryGo(func() { m.execute(j, r) })
+		workers := m.lendableSlotsLocked()
+		ok := m.pool.TryGo(func() { m.execute(j, r, workers) })
 		if !ok {
 			m.running[j.kind]--
 			decTenantLocked(m.runningT, j.tenant)
@@ -441,8 +472,16 @@ func (m *Manager) dispatch() {
 	}
 }
 
-// execute runs one job to a terminal (or interrupted) state.
-func (m *Manager) execute(j *job, runner Runner) {
+// lendableSlotsLocked is how many pool slots a job dispatched now may
+// use: every idle slot, its own included, less one for each job still
+// queued; at least 1. Caller holds mu.
+func (m *Manager) lendableSlotsLocked() int {
+	return max(m.pool.Workers()-m.pool.InFlight()-m.queue.len(), 1)
+}
+
+// execute runs one job to a terminal (or interrupted) state on the
+// given number of pool slots (RunContext.Workers).
+func (m *Manager) execute(j *job, runner Runner, workers int) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	m.mu.Lock()
 	if j.cancelRequested {
@@ -483,6 +522,7 @@ func (m *Manager) execute(j *job, runner Runner) {
 	rc := RunContext{
 		Metrics:        j.reg,
 		Trace:          j.rec,
+		Workers:        workers,
 		CheckpointPath: m.checkpointPath(j.id),
 		Progress:       func(note string) { m.publish(j, note) },
 		Telemetry: func(s telemetry.Sample) {
@@ -851,8 +891,10 @@ func (m *Manager) checkpointPath(id string) string {
 	return filepath.Join(m.opt.Dir, checkpointDirName, id+".ckpt")
 }
 
-// ownerPath is the sidecar naming the tenant that submitted a pending
-// job. Kept out of the spec file itself so the spec document stays a
+// ownerPath is the sidecar naming the tenants that submitted a pending
+// job, one per line: the owner first (an empty line for the anonymous
+// tenant), then every co-submitter. A one-line sidecar names the owner
+// alone. Kept out of the spec file itself so the spec document stays a
 // valid config.Spec (and older pending files keep loading).
 func (m *Manager) ownerPath(id string) string {
 	if m.opt.Dir == "" {
@@ -861,8 +903,8 @@ func (m *Manager) ownerPath(id string) string {
 	return filepath.Join(m.opt.Dir, pendingDirName, id+".owner")
 }
 
-// persistSpec writes the admitted spec and its tenant owner sidecar so
-// a crashed or drained server can requeue the job with its attribution
+// persistSpec writes the admitted spec and its owner sidecar so a
+// crashed or drained server can requeue the job with its attribution
 // intact. Both files land via temp + rename, and the sidecar lands
 // before the spec: recovery keys off the spec file, so a crash between
 // the two leaves at worst an orphan sidecar (swept by recover), never a
@@ -877,16 +919,45 @@ func (m *Manager) persistSpec(j *job) error {
 	if err != nil {
 		return err
 	}
-	if j.tenant != "" {
-		if err := atomicWriteFile(m.ownerPath(j.id), []byte(j.tenant+"\n")); err != nil {
-			return err
-		}
-	} else {
-		// A stale sidecar from an earlier owner of this content-addressed
-		// ID must not re-attribute an anonymous resubmission on recovery.
-		os.Remove(m.ownerPath(j.id))
+	m.ownersMu.Lock()
+	defer m.ownersMu.Unlock()
+	if live, err := m.writeOwnersLocked(j); !live || err != nil {
+		return err
 	}
 	return atomicWriteFile(path, append(data, '\n'))
+}
+
+// writeOwners rewrites j's owner sidecar after an attach added a
+// submitter.
+func (m *Manager) writeOwners(j *job) error {
+	m.ownersMu.Lock()
+	defer m.ownersMu.Unlock()
+	_, err := m.writeOwnersLocked(j)
+	return err
+}
+
+// writeOwnersLocked (re)writes j's owner sidecar from its current
+// submitters, atomically, and reports whether j is still live: the
+// job under its ID and not terminal. A settled or replaced job writes
+// nothing, so a late write can neither leave an orphan sidecar behind
+// unpersist nor overwrite a resubmitted job's sidecar. Caller holds
+// ownersMu, which unpersist takes too.
+func (m *Manager) writeOwnersLocked(j *job) (bool, error) {
+	path := m.ownerPath(j.id)
+	m.mu.Lock()
+	live := m.jobs[j.id] == j && !j.state.Terminal()
+	owners := append([]string{j.tenant}, j.cosubmitters...)
+	m.mu.Unlock()
+	if !live || path == "" {
+		return live, nil
+	}
+	if len(owners) == 1 && owners[0] == "" {
+		// A stale sidecar from an earlier owner of this content-addressed
+		// ID must not re-attribute an anonymous resubmission on recovery.
+		os.Remove(path)
+		return true, nil
+	}
+	return true, atomicWriteFile(path, []byte(strings.Join(owners, "\n")+"\n"))
 }
 
 // atomicWriteFile is temp + rename in the target's directory.
@@ -914,6 +985,8 @@ func (m *Manager) unpersist(id string) {
 	if m.opt.Dir == "" {
 		return
 	}
+	m.ownersMu.Lock()
+	defer m.ownersMu.Unlock()
 	os.Remove(m.pendingPath(id))
 	os.Remove(m.ownerPath(id))
 	os.Remove(m.checkpointPath(id))

@@ -8,13 +8,15 @@
 // resolves its instruments once (holding *Counter / *Gauge pointers) and
 // bumps them unconditionally on the hot path; when no registry is
 // attached the pointers are nil and each bump is a single predictable
-// branch. All instrument operations are atomic, so one registry may be
-// shared by concurrent Monte-Carlo workers.
+// branch. All instrument operations are atomic, so a registry may be
+// read by an exposition goroutine while its owner writes it, and Fold
+// joins registries that workers filled on their own.
 package metrics
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -58,6 +60,13 @@ func (c *Counter) Inc() {
 	}
 }
 
+// Add adds n.
+func (c *Counter) Add(n uint64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
+
 // Value returns the current count (0 on nil).
 func (c *Counter) Value() uint64 {
 	if c == nil {
@@ -81,13 +90,17 @@ func (g *Gauge) Set(v float64) {
 
 // Add adds delta (atomically, via CAS).
 func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
+	if g != nil {
+		addFloat(&g.bits, delta)
 	}
+}
+
+// addFloat adds delta to the float64 whose bits a holds, by CAS.
+func addFloat(a *atomic.Uint64, delta float64) {
 	for {
-		old := g.bits.Load()
+		old := a.Load()
 		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
+		if a.CompareAndSwap(old, next) {
 			return
 		}
 	}
@@ -120,13 +133,7 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	h.count.Add(1)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
+	addFloat(&h.sum, v)
 }
 
 // Count returns the total number of observations.
@@ -200,6 +207,27 @@ type family struct {
 
 	children map[string]*child
 	order    []string // child keys in first-seen order
+}
+
+// childLocked returns the child for labelValues, creating it on first
+// use: a counter in a counter family, a gauge in a gauge family. Caller
+// holds the registry lock.
+func (f *family) childLocked(labelValues []string) *child {
+	key := strings.Join(labelValues, "\x1f")
+	ch, ok := f.children[key]
+	if !ok {
+		vals := make([]string, len(labelValues))
+		copy(vals, labelValues)
+		ch = &child{labelValues: vals}
+		if f.kind == KindGauge {
+			ch.g = &Gauge{}
+		} else {
+			ch.c = &Counter{}
+		}
+		f.children[key] = ch
+		f.order = append(f.order, key)
+	}
+	return ch
 }
 
 // Registry holds metric families. The zero value is not usable;
@@ -304,11 +332,15 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	defer r.mu.Unlock()
 	f := r.lookup(name, help, KindHistogram, nil)
 	if f.h == nil {
-		b := make([]float64, len(bounds))
-		copy(b, bounds)
-		f.h = &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
+		f.h = newHistogram(bounds)
 	}
 	return f.h
+}
+
+func newHistogram(bounds []float64) *Histogram {
+	b := make([]float64, len(bounds))
+	copy(b, bounds)
+	return &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
 }
 
 // CounterVec is a family of counters distinguished by label values.
@@ -343,18 +375,9 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 		panic(fmt.Sprintf("metrics: %q wants %d label values, got %d",
 			v.f.name, len(v.f.labelNames), len(labelValues)))
 	}
-	key := strings.Join(labelValues, "\x1f")
 	v.r.mu.Lock()
 	defer v.r.mu.Unlock()
-	ch, ok := v.f.children[key]
-	if !ok {
-		vals := make([]string, len(labelValues))
-		copy(vals, labelValues)
-		ch = &child{labelValues: vals, c: &Counter{}}
-		v.f.children[key] = ch
-		v.f.order = append(v.f.order, key)
-	}
-	return ch.c
+	return v.f.childLocked(labelValues).c
 }
 
 // GaugeVec is a family of gauges distinguished by label values.
@@ -388,16 +411,99 @@ func (v *GaugeVec) With(labelValues ...string) *Gauge {
 		panic(fmt.Sprintf("metrics: %q wants %d label values, got %d",
 			v.f.name, len(v.f.labelNames), len(labelValues)))
 	}
-	key := strings.Join(labelValues, "\x1f")
 	v.r.mu.Lock()
 	defer v.r.mu.Unlock()
-	ch, ok := v.f.children[key]
-	if !ok {
-		vals := make([]string, len(labelValues))
-		copy(vals, labelValues)
-		ch = &child{labelValues: vals, g: &Gauge{}}
-		v.f.children[key] = ch
-		v.f.order = append(v.f.order, key)
+	return v.f.childLocked(labelValues).g
+}
+
+// Fold adds src into r: counters and histogram cells add, and gauges
+// take src's level (a gauge function folds as the value it reads now; a
+// gauge function r already holds keeps its own). Families r lacks are
+// registered with src's help text, label names and bucket bounds. It
+// panics when a family exists in both with a different kind, label set
+// or bucket layout — always a programming error.
+//
+// Fold is how instrumentation stays local to a worker: a Monte-Carlo
+// worker writes a registry no other goroutine touches, and the batch
+// scheduler folds it into the job's registry once per batch. Folding a nil
+// registry, or a registry into itself, does nothing.
+func (r *Registry) Fold(src *Registry) {
+	if r == nil || src == nil || r == src {
+		return
 	}
-	return ch.g
+	type childCopy struct {
+		vals []string
+		c    *Counter
+		g    *Gauge
+	}
+	src.mu.Lock()
+	fams := make([]*family, len(src.names))
+	kids := make([][]childCopy, len(src.names))
+	for i, n := range src.names {
+		f := src.families[n]
+		fams[i] = f
+		for _, key := range f.order {
+			ch := f.children[key]
+			kids[i] = append(kids[i], childCopy{ch.labelValues, ch.c, ch.g})
+		}
+	}
+	src.mu.Unlock()
+	// Gauge functions run outside both locks, as in Snapshot.
+	levels := make([]float64, len(fams))
+	for i, f := range fams {
+		if f.fn != nil {
+			levels[i] = f.fn()
+		}
+	}
+
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, f := range fams {
+		d := r.lookup(f.name, f.help, f.kind, f.labelNames)
+		switch {
+		case f.labelNames != nil:
+			for _, ch := range kids[i] {
+				dc := d.childLocked(ch.vals)
+				if ch.c != nil {
+					dc.c.Add(ch.c.Value())
+				} else {
+					dc.g.Set(ch.g.Value())
+				}
+			}
+		case f.h != nil:
+			if d.h == nil {
+				d.h = newHistogram(f.h.bounds)
+			}
+			d.h.fold(f.h)
+		case f.c != nil:
+			if d.c == nil {
+				d.c = &Counter{}
+			}
+			d.c.Add(f.c.Value())
+		case f.g != nil || f.fn != nil:
+			if d.fn != nil {
+				continue
+			}
+			if d.g == nil {
+				d.g = &Gauge{}
+			}
+			if f.g != nil {
+				d.g.Set(f.g.Value())
+			} else {
+				d.g.Set(levels[i])
+			}
+		}
+	}
+}
+
+// fold adds src's cells, count and sum into h.
+func (h *Histogram) fold(src *Histogram) {
+	if !slices.Equal(h.bounds, src.bounds) {
+		panic("metrics: histogram folded across different bucket bounds")
+	}
+	for i := range h.counts {
+		h.counts[i].Add(src.counts[i].Load())
+	}
+	h.count.Add(src.count.Load())
+	addFloat(&h.sum, src.Sum())
 }

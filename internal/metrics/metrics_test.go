@@ -142,13 +142,6 @@ func TestGaugeAddIsAtomicOverNaNFreePath(t *testing.T) {
 	}
 }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
 // LinearBuckets returns n upper bounds start, start+width, ...
 func LinearBuckets(start, width float64, n int) []float64 {
 	if width <= 0 || n < 1 {
@@ -159,4 +152,96 @@ func LinearBuckets(start, width float64, n int) []float64 {
 		out[i] = start + float64(i)*width
 	}
 	return out
+}
+
+func TestFoldAddsCountersAndKeepsGaugeLevels(t *testing.T) {
+	dst := NewRegistry()
+	dst.Counter("trials_total", "trials").Add(5)
+	dst.Gauge("depth", "").Set(9)
+	dst.GaugeFunc("own_ratio", "", func() float64 { return 0.5 })
+
+	for w := 1; w <= 2; w++ {
+		src := NewRegistry()
+		src.Counter("trials_total", "trials").Add(uint64(10 * w))
+		src.CounterVec("drops_total", "", "reason").With("no route").Add(uint64(w))
+		src.GaugeVec("queue", "", "lc").With("0").Set(float64(w))
+		src.Gauge("depth", "").Set(float64(100 + w))
+		h := src.Histogram("lat", "", []float64{1, 2})
+		h.Observe(0.5)
+		h.Observe(3)
+		src.GaugeFunc("ratio", "", func() float64 { return float64(w) / 4 })
+		src.GaugeFunc("own_ratio", "", func() float64 { return 7 })
+		dst.Fold(src)
+	}
+
+	if got := dst.Counter("trials_total", "").Value(); got != 35 {
+		t.Fatalf("trials_total = %d, want 35", got)
+	}
+	if got := dst.CounterVec("drops_total", "", "reason").With("no route").Value(); got != 3 {
+		t.Fatalf("drops_total = %d, want 3", got)
+	}
+	if got := dst.GaugeVec("queue", "", "lc").With("0").Value(); got != 2 {
+		t.Fatalf("queue gauge = %g, want the last level 2", got)
+	}
+	if got := dst.Gauge("depth", "").Value(); got != 102 {
+		t.Fatalf("depth = %g, want the last level 102", got)
+	}
+	h := dst.Histogram("lat", "", []float64{1, 2})
+	if h.Count() != 4 || h.Sum() != 7 || h.BucketCount(0) != 2 || h.BucketCount(1) != 0 || h.BucketCount(2) != 2 {
+		t.Fatalf("histogram count=%d sum=%g buckets=%d/%d/%d", h.Count(), h.Sum(),
+			h.BucketCount(0), h.BucketCount(1), h.BucketCount(2))
+	}
+	for _, s := range dst.Snapshot() {
+		switch s.Name {
+		case "ratio":
+			if s.Samples[0].Value != 0.5 {
+				t.Fatalf("ratio = %g, want the folded level 0.5", s.Samples[0].Value)
+			}
+		case "own_ratio":
+			if s.Samples[0].Value != 0.5 {
+				t.Fatalf("own_ratio = %g, want the destination's own function", s.Samples[0].Value)
+			}
+		case "trials_total":
+			if s.Help != "trials" {
+				t.Fatalf("help = %q", s.Help)
+			}
+		}
+	}
+}
+
+func TestFoldNilAndSelfAreNoOps(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("c_total", "").Inc()
+	r.Fold(nil)
+	r.Fold(r)
+	var nilReg *Registry
+	nilReg.Fold(r)
+	if got := r.Counter("c_total", "").Value(); got != 1 {
+		t.Fatalf("c_total = %d, want 1", got)
+	}
+}
+
+func TestFoldMismatchPanics(t *testing.T) {
+	for name, pair := range map[string][2]func(*Registry){
+		"kind": {
+			func(r *Registry) { r.Counter("x", "") },
+			func(r *Registry) { r.Gauge("x", "") },
+		},
+		"bounds": {
+			func(r *Registry) { r.Histogram("h", "", []float64{1, 2}) },
+			func(r *Registry) { r.Histogram("h", "", []float64{1, 3}) },
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dst, src := NewRegistry(), NewRegistry()
+			pair[0](dst)
+			pair[1](src)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected a panic")
+				}
+			}()
+			dst.Fold(src)
+		})
+	}
 }

@@ -63,3 +63,49 @@ func TestConcurrentWorkersShareRegistry(t *testing.T) {
 		t.Fatalf("observations = %d, want %d", got, workers*iters)
 	}
 }
+
+// TestFoldWhileExposing is the Monte-Carlo batch pattern: workers fill
+// registries of their own, the batch loop folds them into the job registry,
+// and an exposition goroutine reads the job registry throughout.
+func TestFoldWhileExposing(t *testing.T) {
+	job := NewRegistry()
+	const workers, batches = 4, 50
+
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = job.PrometheusText()
+			}
+		}
+	}()
+	for b := 0; b < batches; b++ {
+		locals := make([]*Registry, workers)
+		var wg sync.WaitGroup
+		for w := range locals {
+			locals[w] = NewRegistry()
+			wg.Add(1)
+			go func(r *Registry) {
+				defer wg.Done()
+				r.Counter("mc_events_total", "").Inc()
+				r.Histogram("mc_latency", "", []float64{1, 2}).Observe(1)
+				r.Gauge("mc_now", "").Set(float64(b))
+			}(locals[w])
+		}
+		wg.Wait()
+		for _, r := range locals {
+			job.Fold(r)
+		}
+	}
+	close(stop)
+	reader.Wait()
+	if got := job.Counter("mc_events_total", "").Value(); got != workers*batches {
+		t.Fatalf("events = %d, want %d", got, workers*batches)
+	}
+}

@@ -29,6 +29,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/linecard"
@@ -74,10 +76,10 @@ type Options struct {
 	// order.
 	Seed uint64
 	// Workers fans replications out over goroutines (each replication
-	// owns a private router, so they share nothing). 0 or 1 runs
-	// sequentially. Streams are split and results aggregated in
-	// replication order, so the estimate is bit-identical regardless of
-	// worker count.
+	// owns a private router, and each of several workers a private
+	// registry, so they share nothing). 0 or 1 runs sequentially. Streams are split
+	// and results aggregated in replication order, so the estimate is
+	// bit-identical regardless of worker count.
 	Workers int
 	// TargetLC selects the linecard under analysis (the paper's LCUA);
 	// default 0.
@@ -103,13 +105,19 @@ type Options struct {
 	// simulates per replication (router construction is amortised across
 	// them); 0 selects DefaultCyclesPerRep.
 	CyclesPerRep int
-	// Metrics, when non-nil, receives live progress: every replication's
-	// router and kernel are instrumented against it (counters are
-	// atomic, so concurrent workers share it safely), and the estimators
-	// publish montecarlo_trials_total, montecarlo_batches_total,
+	// Metrics, when non-nil, receives live progress. A sequential run
+	// instruments every replication's router and kernel against it
+	// directly. With several workers each instruments the routers and
+	// kernels it builds against a registry of its own, and the batch
+	// scheduler folds those into Metrics after every batch
+	// (metrics.Registry.Fold), so the router_*, sim_* and eib_*
+	// families move once per batch and no replication writes a
+	// registry another goroutine writes. The estimators publish
+	// montecarlo_trials_total, montecarlo_batches_total,
 	// montecarlo_ci_halfwidth, montecarlo_relative_error, the
 	// montecarlo_logweight_max/min extremes and montecarlo_stops_total
-	// for convergence watching over /metrics.
+	// for convergence watching over /metrics. Nil builds no registry at
+	// all.
 	Metrics *metrics.Registry
 	// Ctx, when non-nil, is checked at every batch boundary: once it is
 	// cancelled the run stops with StopInterrupted and returns the
@@ -219,69 +227,86 @@ type trialResult[T any] struct {
 }
 
 // runBatch executes one replication function per pre-split stream,
-// optionally across workers, returning per-replication outcomes in
-// replication order. rep numbering starts at base. A replication that
-// panics is recorded as a failed trial — the rest of the batch runs to
-// completion; only returned errors (misconfiguration) abort the run.
+// optionally across workers, and hands each outcome to fold in
+// replication order. rep numbering starts at base; fold gets the index
+// within the batch. A replication that panics is recorded as a failed
+// trial — the rest of the batch runs to completion; only returned
+// errors (misconfiguration) abort the run.
+//
+// Whichever worker completes the next replication in order folds it,
+// and every later one already done, under one lock: a batch holds only
+// the outcomes that finished ahead of a slower, earlier replication,
+// never the whole batch. With Options.Metrics set and more than one
+// worker, each worker's replications see Options whose Metrics is that
+// worker's own fresh registry; once every worker is done, runBatch
+// folds them into Options.Metrics on the calling goroutine. A
+// sequential batch has no other writer to keep apart from, so its
+// replications write Options.Metrics itself.
 func runBatch[T any](opt Options, base uint64, streams []*xrand.Source,
-	one func(Options, uint64, *xrand.Source) (T, error)) ([]trialResult[T], error) {
+	one func(Options, uint64, *xrand.Source) (T, error),
+	fold func(i int, tr trialResult[T])) error {
 	trials := opt.Metrics.Counter("montecarlo_trials_total", "Completed Monte-Carlo replications.")
 	failedCtr := opt.Metrics.Counter("montecarlo_failed_trials_total", "Replications that panicked and were recorded as failed trials.")
 	n := len(streams)
-	out := make([]trialResult[T], n)
-	record := func(i int, v T, ft *FailedTrial) {
-		out[i] = trialResult[T]{v: v, failed: ft}
-		if ft != nil {
-			failedCtr.Inc()
-		} else {
-			trials.Inc()
-		}
-	}
-	workers := opt.Workers
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			v, ft, err := runOne(opt, base+uint64(i), streams[i], one)
+	errs := make([]error, n)
+	var (
+		foldMu sync.Mutex
+		ready  = make([]*trialResult[T], n) // done, not yet folded
+		folded int
+	)
+	// Workers claim replications in index order.
+	var next atomic.Int64
+	work := func(wopt Options) {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			v, ft, err := runOne(wopt, base+uint64(i), streams[i], one)
 			if err != nil {
-				return nil, err
+				errs[i] = err
+				next.Store(int64(n)) // misconfiguration: claim nothing more
+				continue
 			}
-			record(i, v, ft)
-		}
-		return out, nil
-	}
-	type result struct {
-		i      int
-		v      T
-		failed *FailedTrial
-		err    error
-	}
-	jobs := make(chan int)
-	results := make(chan result)
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range jobs {
-				v, ft, err := runOne(opt, base+uint64(i), streams[i], one)
-				results <- result{i, v, ft, err}
+			if ft != nil {
+				failedCtr.Inc()
+			} else {
+				trials.Inc()
 			}
-		}()
-	}
-	go func() {
-		for i := 0; i < n; i++ {
-			jobs <- i
+			foldMu.Lock()
+			ready[i] = &trialResult[T]{v: v, failed: ft}
+			for ; folded < n && ready[folded] != nil; folded++ {
+				fold(folded, *ready[folded])
+				ready[folded] = nil
+			}
+			foldMu.Unlock()
 		}
-		close(jobs)
-	}()
-	var firstErr error
-	for k := 0; k < n; k++ {
-		r := <-results
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
+	}
+	wopts := make([]Options, max(min(opt.Workers, n), 1))
+	for w := range wopts {
+		wopts[w] = opt
+		if opt.Metrics != nil && len(wopts) > 1 {
+			wopts[w].Metrics = metrics.NewRegistry()
 		}
-		record(r.i, r.v, r.failed)
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	if len(wopts) == 1 {
+		work(wopts[0])
+	} else {
+		var wg sync.WaitGroup
+		for _, wopt := range wopts {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work(wopt)
+			}()
+		}
+		wg.Wait()
 	}
-	return out, nil
+	for _, w := range wopts {
+		opt.Metrics.Fold(w.Metrics)
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // drive is the sequential-stopping batch scheduler shared by every
@@ -357,16 +382,15 @@ func drive[T any](opt Options, mode string,
 			n = rest
 		}
 		streams := splitN(master, n)
-		outs, err := runBatch(opt, uint64(done), streams, one)
-		if err != nil {
-			return batches, "", failed, err
-		}
-		for _, tr := range outs {
+		err := runBatch(opt, uint64(done), streams, one, func(_ int, tr trialResult[T]) {
 			if tr.failed != nil {
 				failed = append(failed, *tr.failed)
-				continue
+				return
 			}
 			fold(tr.v)
+		})
+		if err != nil {
+			return batches, "", failed, err
 		}
 		done += n
 		batches++

@@ -9,11 +9,12 @@ import (
 )
 
 // TestRaceSoakParallelEstimators drives every parallel path of the
-// engine — the worker pool, the batch scheduler, biased replications and
-// a shared metrics registry hammered from all workers at once — with
-// enough work to give the race detector something to chew on. It runs in
-// short mode too (`make race` uses -short): the point is data-race
-// coverage, not statistical power.
+// engine — the worker pool, the batch scheduler, biased replications,
+// per-worker registries folded into the job registry at every batch
+// boundary, and one job registry reused across three runs — with enough
+// work to give the race detector something to chew on. It runs in short
+// mode too (`make race` uses -short): the point is data-race coverage,
+// not statistical power.
 func TestRaceSoakParallelEstimators(t *testing.T) {
 	reg := metrics.NewRegistry()
 

@@ -104,16 +104,15 @@ func runShard[T any](opt Options, lo, hi uint64,
 			n = rest
 		}
 		streams := splitN(master, int(n))
-		outs, err := runBatch(opt, done, streams, one)
-		if err != nil {
-			return err
-		}
-		for i, tr := range outs {
+		err := runBatch(opt, done, streams, one, func(i int, tr trialResult[T]) {
 			if tr.failed != nil {
 				*failed = append(*failed, *tr.failed)
-				continue
+				return
 			}
 			record(done+uint64(i), tr.v)
+		})
+		if err != nil {
+			return err
 		}
 		done += n
 	}

@@ -42,50 +42,64 @@ func (b BandwidthReport) FractionOfDemand(i int) float64 {
 // covering pool accounting (X_nonfaulty + X_faulty = N with LC_out
 // excluded from failures).
 func (r *Router) CoverageBandwidth() BandwidthReport {
-	rep := BandwidthReport{PerFaulty: make(map[int]float64)}
-	if r.bus != nil {
-		rep.BusCap = r.bus.Config().DataCapacity
-	}
-	var faulty []int
+	scale, spare, busCap, served := r.coverageScale()
+	rep := BandwidthReport{PerFaulty: make(map[int]float64), SpareTotal: spare, BusCap: busCap}
 	for i, lc := range r.lcs {
-		if !lc.FullyHealthy() {
-			faulty = append(faulty, i)
-		} else {
-			rep.SpareTotal += lc.Capacity() - r.offered[i]
+		if lc.FullyHealthy() {
+			continue
 		}
-	}
-	if len(faulty) == 0 {
-		return rep
-	}
-	if r.cfg.Arch != linecard.DRA || r.bus == nil || r.bus.Failed() {
-		for _, i := range faulty {
-			rep.PerFaulty[i] = 0
+		if served && len(rep.PerFaulty) == 0 {
+			// Uniform loads in this model: use the first faulty LC's
+			// offered load as L·c.
+			rep.Demand = r.offered[i]
 		}
-		return rep
-	}
-	// Uniform loads in this model: use LC 0's offered load as L·c.
-	rep.Demand = r.offered[faulty[0]]
-	totalAsk := 0.0
-	for _, i := range faulty {
-		totalAsk += r.offered[i]
-	}
-	// EIB promise scale-back.
-	scale := 1.0
-	if totalAsk > rep.BusCap && totalAsk > 0 {
-		scale = rep.BusCap / totalAsk
-	}
-	// Spare-pool scale-back.
-	if totalAsk*scale > rep.SpareTotal && totalAsk > 0 {
-		scale = rep.SpareTotal / totalAsk
-	}
-	for _, i := range faulty {
-		got := r.offered[i] * scale
-		if got > r.offered[i] {
-			got = r.offered[i]
-		}
-		rep.PerFaulty[i] = got
+		rep.PerFaulty[i] = r.coveredBandwidth(i, scale)
 	}
 	return rep
+}
+
+// coverageScale runs steps 1–4 of CoverageBandwidth without allocating.
+// It returns the factor by which every faulty LC's ask is scaled back,
+// the healthy LCs' spare pool Σψ and B_BUS. served is false when the EIB
+// carries no coverage (no faulty LC, BDR, no bus or a failed one); scale
+// is then 0.
+func (r *Router) coverageScale() (scale, spare, busCap float64, served bool) {
+	if r.bus != nil {
+		busCap = r.bus.Config().DataCapacity
+	}
+	faulty := false
+	totalAsk := 0.0
+	for i, lc := range r.lcs {
+		if !lc.FullyHealthy() {
+			faulty = true
+			totalAsk += r.offered[i]
+		} else {
+			spare += lc.Capacity() - r.offered[i]
+		}
+	}
+	if !faulty || r.cfg.Arch != linecard.DRA || r.bus == nil || r.bus.Failed() {
+		return 0, spare, busCap, false
+	}
+	// EIB promise scale-back.
+	scale = 1.0
+	if totalAsk > busCap && totalAsk > 0 {
+		scale = busCap / totalAsk
+	}
+	// Spare-pool scale-back.
+	if totalAsk*scale > spare && totalAsk > 0 {
+		scale = spare / totalAsk
+	}
+	return scale, spare, busCap, true
+}
+
+// coveredBandwidth is the bandwidth faulty LC i receives at the given
+// scale-back: its ask scaled, never more than the ask.
+func (r *Router) coveredBandwidth(i int, scale float64) float64 {
+	got := r.offered[i] * scale
+	if got > r.offered[i] {
+		got = r.offered[i]
+	}
+	return got
 }
 
 // FailWholeLC marks every unit of LC i failed except the PIU (the paper's

@@ -273,15 +273,21 @@ func (r *Router) reconcileCoverage() {
 }
 
 // updateCoverageGauge refreshes router_coverage_bandwidth from the fluid
-// Section 5.3 computation. It runs only on fault-state transitions (never
-// the packet hot path) and only when a registry is attached.
+// Section 5.3 computation: the sum of CoverageBandwidth().PerFaulty, in
+// LC order and without allocating. It runs only on fault-state
+// transitions (never the packet hot path) and only when a registry is
+// attached.
 func (r *Router) updateCoverageGauge() {
 	if r.im.coverageBW == nil {
 		return
 	}
 	total := 0.0
-	for _, bw := range r.CoverageBandwidth().PerFaulty {
-		total += bw
+	if scale, _, _, served := r.coverageScale(); served {
+		for i, lc := range r.lcs {
+			if !lc.FullyHealthy() {
+				total += r.coveredBandwidth(i, scale)
+			}
+		}
 	}
 	r.im.coverageBW.Set(total)
 }

@@ -504,7 +504,9 @@ func TestListPagingAndTenantScope(t *testing.T) {
 // guessable, so the by-ID endpoints (status, result, events, cancel)
 // must enforce tenant ownership, not just the verb — another tenant's
 // key, operator or reader, gets a 404 (not a 403, which would leak
-// existence), while the owner and an admin key retain full access.
+// existence), while the owner and an admin key retain full access. A
+// tenant whose submit attached to a pending job keeps its read access
+// across a drain and restart.
 func TestCrossTenantJobIsolation(t *testing.T) {
 	stateDir, storeDir := t.TempDir(), t.TempDir()
 	st, err := store.Open(storeDir, store.Options{})
@@ -512,20 +514,25 @@ func TestCrossTenantJobIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Seed 78's job holds until gate closes, so a second submit of its
-	// spec attaches to the live job.
-	gate := make(chan struct{})
+	// spec attaches to the live job. Seed 79's holds until pendingGate
+	// closes, which happens only after the drain, so it is still
+	// pending when the manager restarts.
+	gate, pendingGate := make(chan struct{}), make(chan struct{})
 	runner := func(ctx context.Context, rc jobs.RunContext, spec config.Spec) (json.RawMessage, error) {
-		if spec.MC.Seed == 78 {
+		hold := map[uint64]chan struct{}{78: gate, 79: pendingGate}[spec.MC.Seed]
+		if hold != nil {
 			select {
-			case <-gate:
+			case <-hold:
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
 		}
 		return json.RawMessage(`{"answer": 42}`), nil
 	}
+	// One execution slot: while seed 78 runs, seed 79 waits in the queue.
 	opt := jobs.Options{
 		MaxQueued: 16,
+		Workers:   1,
 		Store:     st,
 		Dir:       stateDir,
 		Runners:   map[string]jobs.Runner{config.KindReliability: runner},
@@ -628,6 +635,12 @@ func TestCrossTenantJobIsolation(t *testing.T) {
 	if resp, body := doAuth(t, http.MethodDelete, ts.URL+"/v1/jobs/"+live.ID, otherTok, ""); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("co-submitter cancel: %d %s, want 404", resp.StatusCode, body)
 	}
+	// The same for a job still in the queue, which is what a restart
+	// recovers.
+	pending := submit(ts.URL, acmeTok, 79, http.StatusAccepted)
+	if attached := submit(ts.URL, otherTok, 79, http.StatusAccepted); attached.State != jobs.StateQueued {
+		t.Fatalf("second submit of seed 79 found the job %s, want queued", attached.State)
+	}
 	close(gate)
 	if _, err := waitJob(ctx, mgr, live.ID); err != nil {
 		t.Fatal(err)
@@ -640,12 +653,14 @@ func TestCrossTenantJobIsolation(t *testing.T) {
 		t.Fatalf("co-submitter list: %d %s", resp.StatusCode, body)
 	}
 
-	// Restart over the same state dir: the job records are gone, the
-	// results are not. A keyed resubmit is a cache hit that every tenant
-	// which submitted the spec can read, and no other tenant can.
+	// Restart over the same state dir: the records of settled jobs are
+	// gone, the results are not. A keyed resubmit is a cache hit that
+	// every tenant which submitted the spec can read, and no other
+	// tenant can. The pending job comes back with all its submitters.
 	if err := mgr.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
+	close(pendingGate)
 	if opt.Store, err = store.Open(storeDir, store.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -661,6 +676,19 @@ func TestCrossTenantJobIsolation(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(srv2)
 	t.Cleanup(ts2.Close)
+
+	if final, err := waitJob(ctx, mgr2, pending.ID); err != nil || final.State != jobs.StateDone {
+		t.Fatalf("recovered job: %+v, %v", final, err)
+	}
+	reads(ts2.URL, pending.ID, acmeTok, http.StatusOK)
+	reads(ts2.URL, pending.ID, otherTok, http.StatusOK)
+	reads(ts2.URL, pending.ID, thirdTok, http.StatusNotFound)
+	if resp, body := doAuth(t, http.MethodDelete, ts2.URL+"/v1/jobs/"+pending.ID, otherTok, ""); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("recovered co-submitter cancel: %d %s, want 404", resp.StatusCode, body)
+	}
+	if resp, body := doAuth(t, http.MethodDelete, ts2.URL+"/v1/jobs/"+pending.ID, acmeTok, ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("recovered owner cancel: %d %s, want 200", resp.StatusCode, body)
+	}
 
 	reads(ts2.URL, snap.ID, acmeTok, http.StatusNotFound)
 	submit(ts2.URL, acmeTok, 77, http.StatusOK)

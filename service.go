@@ -92,7 +92,10 @@ func archOf(s string) (linecard.Arch, error) {
 }
 
 // mcOptions builds the engine option set shared by the Monte-Carlo
-// kinds, wiring the job's context and checkpoint lifecycle.
+// kinds, wiring the job's context and checkpoint lifecycle. A spec that
+// leaves mc.workers at 0 runs on the pool slots the manager granted the
+// job at dispatch (RunContext.Workers); estimates are bit-identical for
+// any worker count, which is why workers is outside the JobID.
 func mcOptions(ctx context.Context, rc jobs.RunContext, sp config.Spec) (montecarlo.Options, error) {
 	a, err := archOf(sp.Router.Arch)
 	if err != nil {
@@ -102,10 +105,14 @@ func mcOptions(ctx context.Context, rc jobs.RunContext, sp config.Spec) (monteca
 	if sp.Kind != config.KindReliability {
 		mu = sp.MC.Mu
 	}
+	workers := sp.MC.Workers
+	if workers == 0 {
+		workers = rc.Workers
+	}
 	opt := montecarlo.Options{
 		Arch: a, N: sp.Router.N, M: sp.Router.M, Rates: router.PaperRates(mu),
 		Horizon: sp.MC.Horizon, Reps: sp.MC.Reps, Seed: sp.MC.Seed,
-		Workers: sp.MC.Workers, TargetRelErr: sp.MC.TargetRelErr,
+		Workers: workers, TargetRelErr: sp.MC.TargetRelErr,
 		Batch: sp.MC.Batch, CyclesPerRep: sp.MC.CyclesPerRep,
 		Ctx: ctx, Metrics: rc.Metrics,
 	}
